@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-faults chaos-smoke shard-smoke decode-smoke trace-smoke bench bench-smoke bench-json metrics-smoke bench-overhead vet fmt lint lint-baseline experiments examples clean
+.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke trace-smoke bench bench-smoke bench-json metrics-smoke bench-overhead vet fmt lint lint-baseline experiments examples clean
 
 all: build vet lint test
 
@@ -35,10 +35,21 @@ test-short:
 	$(GO) test ./... -short -timeout 600s
 
 # test-race runs the short test suite under the race detector; the
-# concurrency stress tests in tensor, lutnn, autotuner and pim exercise
-# the simulator's goroutine fan-outs.
+# concurrency stress tests in tensor, lutnn and pim exercise the
+# simulator's goroutine fan-outs, and the auto-tuner (serial since the
+# branch-and-bound search) is checked as a pure function under
+# concurrent callers. -short holds the tuner to its exhaustive oracle on
+# 6 of the benchmark's 36 problems.
 test-race:
 	$(GO) test -race -short ./... -timeout 1200s
+
+# test-tuner runs the auto-tuner's exactness suite in full: Tune against
+# the exhaustive sweep on all 36 benchmark problems plus the varied
+# spaces/platforms/random shapes, the bound property, the enumeration and
+# cost-model references, and the zero-allocation guards (DESIGN.md §5.1).
+test-tuner:
+	$(GO) test ./internal/autotuner/ ./internal/mapping/ -count=1 \
+		-run 'MatchesExhaustive|BoundsNeverExceedCost|MatchReferences|DoesNotAllocate' -timeout 600s
 
 # test-faults runs the fault-injection and graceful-degradation suite
 # under the race detector. The tests draw from a fixed seed matrix

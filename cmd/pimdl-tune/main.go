@@ -98,7 +98,7 @@ func main() {
 
 	fmt.Printf("Platform:  %s (%d PEs)\n", plat.Name, plat.NumPE)
 	fmt.Printf("Workload:  N=%d CB=%d CT=%d F=%d (%dB elements)\n", w.N, w.CB, w.CT, w.F, w.ElemBytes)
-	fmt.Printf("Evaluated: %d legal mappings\n\n", res.Evaluated)
+	fmt.Printf("Scored:    %d legal mappings (the rest were pruned by their lower bound)\n\n", res.Evaluated)
 	fmt.Printf("Best mapping: %v\n", res.Mapping)
 	fmt.Printf("  PEs used:          %d\n", res.Mapping.PEs(w))
 	fmt.Printf("  predicted total:   %.6g s\n", res.Predicted.Total())

@@ -10,9 +10,8 @@ import (
 // them as arguments.
 //
 // Since Go 1.22 each iteration gets fresh loop variables, so the classic
-// stale-capture bug is gone — but the simulator's fan-outs (autotuner
-// partition search, PE-group execution, parallel matmul, parallel CCS)
-// deliberately pass iteration state as arguments so that the goroutine's
+// stale-capture bug is gone — but the simulator's fan-outs (PE-group
+// execution, parallel matmul, parallel CCS) deliberately pass iteration state as arguments so that the goroutine's
 // read/write set is explicit and the race reviewer can check index
 // partitioning locally. A captured loop variable hides that contract, and
 // on any toolchain with `go 1.21` or older semantics in go.mod it is an

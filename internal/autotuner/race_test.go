@@ -8,12 +8,11 @@ import (
 	"repro/internal/pim"
 )
 
-// TestTuneConcurrentCallersDeterministic runs the tuner's partition-search
-// fan-out from several concurrent callers. The search writes per-partition
-// results into disjoint slice slots and merges them in index order, so
-// every call — concurrent or not — must return the same mapping and the
-// same simulated time. Under -race this is the regression test for the
-// tuner fan-out.
+// TestTuneConcurrentCallersDeterministic calls the tuner from several
+// goroutines at once. Tune is a pure function of its arguments — a serial
+// search over call-local state, sharing nothing — so every call,
+// concurrent or not, must return the same mapping and the same simulated
+// time; under -race this also shows it reads the shared platform only.
 func TestTuneConcurrentCallersDeterministic(t *testing.T) {
 	p := pim.UPMEM()
 	w := pim.Workload{N: 512, CB: 64, CT: 16, F: 512, ElemBytes: 1}

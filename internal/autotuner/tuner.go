@@ -1,30 +1,29 @@
-// Package autotuner implements PIM-DL's Algorithm 1: for each legal
-// sub-LUT partition it estimates the partition overhead, searches the
-// micro-kernel space with the analytical cost model, and keeps the mapping
-// with the smallest total predicted latency.
+// Package autotuner implements PIM-DL's Algorithm 1: it searches the
+// sub-LUT partitions and their micro-kernel spaces with the analytical
+// cost model and keeps the mapping with the smallest total predicted
+// latency. The search is an exact branch-and-bound: sub-trees whose
+// cost-model lower bound exceeds the best mapping found so far are
+// skipped, so the answer is the one an exhaustive sweep would return.
 package autotuner
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 
 	"repro/internal/mapping"
-	"repro/internal/parallel"
 	"repro/internal/pim"
 )
-
-// parallelCostWork is the rough scalar-op estimate for scoring one
-// sub-LUT partition's micro-kernel space, used to decide whether Tune
-// fans out on the worker pool.
-const parallelCostWork = 1 << 16
 
 // Result is the tuner's output for one LUT operator.
 type Result struct {
 	Mapping   pim.Mapping
 	Predicted pim.Timing // cost-model estimate for the chosen mapping
 	Simulated pim.Timing // simulator timing for the chosen mapping
-	// Evaluated is the number of legal mappings scored.
+	// Evaluated is the number of legal mappings the search scored with
+	// the cost model (the rest were excluded by their bound).
 	Evaluated int
 }
 
@@ -32,58 +31,95 @@ type Result struct {
 // platform at all (e.g. tiles never fit the on-chip buffer).
 var ErrNoLegalMapping = errors.New("autotuner: no legal mapping")
 
+// search is the state of one Tune call: the incumbent and the partition
+// whose micro kernels are being scored.
+type search struct {
+	p *pim.Platform
+	w pim.Workload
+
+	part  int // index of the current partition in enumeration order
+	terms mapping.Partition
+
+	best      pim.Mapping
+	bestT     pim.Timing
+	bestCost  float64
+	bestPart  int
+	evaluated int
+}
+
+// prunes reports whether no mapping under a sub-tree of the current
+// partition with the given lower bound can replace the incumbent. The
+// winner is the first mapping in enumeration order (partition, then
+// MicroKernels order) with the strictly smallest cost, so a sub-tree
+// whose bound only equals the incumbent is still skipped when all of it
+// enumerates later: a later partition, or — micro kernels being scored in
+// enumeration order — the rest of the incumbent's own partition.
+func (s *search) prunes(bound float64) bool {
+	return bound > s.bestCost || (bound >= s.bestCost && s.part >= s.bestPart)
+}
+
+// score is the per-candidate step: cost one legal mapping of the current
+// partition and keep it if it beats the incumbent.
+//
+//pimdl:hotpath
+func (s *search) score(m pim.Mapping) {
+	// An MTile is indexed by two of the three loops and visited once per
+	// iteration of the deeper one, so swapping a traversal's two outer
+	// loops changes no visit count: the pair costs exactly the same, and
+	// only the one mapping.Orders lists first can win.
+	if m.Traversal[0] > m.Traversal[1] {
+		return
+	}
+	s.evaluated++
+	t := s.terms.Kernel(s.p, m.Scheme, mapping.KernelTraffic(s.w, m))
+	//pimdl:lint-ignore hotpath pim.Timing.Total is allocation-free arithmetic
+	c := t.Total()
+	if c < s.bestCost || (c <= s.bestCost && s.part < s.bestPart) {
+		s.best, s.bestT, s.bestCost, s.bestPart = m, t, c, s.part
+	}
+}
+
 // Tune searches the mapping space of w on p (Algorithm 1) and returns the
-// best mapping by predicted cost.
+// best mapping by predicted cost: of the mappings with the smallest
+// mapping.Cost total, the first in mapping.Enumerate order.
 func Tune(p *pim.Platform, w pim.Workload, cfg mapping.SpaceConfig) (*Result, error) {
+	if w.CB <= 0 {
+		return nil, ErrNoLegalMapping // no codebook to tile, and nothing to bound
+	}
+	type bounded struct {
+		part  int
+		terms mapping.Partition
+		bound float64
+	}
 	parts := mapping.SubLUTPartitions(p, w, cfg)
-	if len(parts) == 0 {
-		return nil, ErrNoLegalMapping
+	queue := make([]bounded, len(parts))
+	for i, sf := range parts {
+		terms := mapping.PartitionCost(p, w, sf[0], sf[1])
+		whole := pim.Mapping{NsTile: sf[0], FsTile: sf[1], NmTile: sf[0], FmTile: sf[1], CBmTile: w.CB}
+		queue[i] = bounded{i, terms, terms.LowerBound(p, w, whole)}
 	}
+	// Best first: the cheapest-looking partition sets a strong incumbent
+	// early. The stable sort keeps equal bounds in enumeration order.
+	slices.SortStableFunc(queue, func(a, b bounded) int { return cmp.Compare(a.bound, b.bound) })
 
-	type partBest struct {
-		m     pim.Mapping
-		cost  float64
-		t     pim.Timing
-		count int
-		ok    bool
-	}
-	results := make([]partBest, len(parts))
-
-	// One slot per sub-LUT partition on the shared worker pool; each
-	// partition writes its own results element, and the serial reduction
-	// below keeps the winner deterministic.
-	parallel.For(len(parts), len(parts)*parallelCostWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ns, fs := parts[i][0], parts[i][1]
-			best := partBest{cost: math.Inf(1)}
-			mapping.MicroKernels(p, w, ns, fs, cfg, func(m pim.Mapping) {
-				best.count++
-				t := mapping.Cost(p, w, m)
-				if c := t.Total(); c < best.cost {
-					best.cost, best.m, best.t, best.ok = c, m, t, true
-				}
-			})
-			results[i] = best
+	s := &search{p: p, w: w, bestCost: math.Inf(1), bestPart: -1}
+	keep := func(base pim.Mapping) bool { return !s.prunes(s.terms.LowerBound(p, w, base)) }
+	for _, q := range queue {
+		if q.bound > s.bestCost {
+			break // bounds ascend: no later partition can win either
 		}
-	})
-
-	out := &Result{}
-	bestCost := math.Inf(1)
-	found := false
-	for _, r := range results {
-		out.Evaluated += r.count
-		if r.ok && r.cost < bestCost {
-			bestCost = r.cost
-			out.Mapping = r.m
-			out.Predicted = r.t
-			found = true
+		s.part, s.terms = q.part, q.terms
+		if !s.prunes(q.bound) {
+			mapping.MicroKernels(p, w, parts[q.part][0], parts[q.part][1], cfg, keep, s.score)
 		}
 	}
-	if !found {
+	if s.bestPart < 0 {
 		return nil, ErrNoLegalMapping
 	}
-	out.Simulated = pim.SimTiming(p, w, out.Mapping)
-	return out, nil
+	if err := s.best.Validate(p, w); err != nil {
+		return nil, fmt.Errorf("autotuner: search returned an illegal mapping: %w", err)
+	}
+	return &Result{Mapping: s.best, Predicted: s.bestT, Simulated: pim.SimTiming(p, w, s.best), Evaluated: s.evaluated}, nil
 }
 
 // ExhaustiveBest scores every legal mapping with the *simulator* timing
@@ -104,38 +140,4 @@ func ExhaustiveBest(p *pim.Platform, w pim.Workload, cfg mapping.SpaceConfig) (b
 		}
 	})
 	return best, worst, bestT, worstT, n
-}
-
-// RandomSearch scores `budget` uniformly sampled legal mappings with the
-// cost model and returns the best. It trades optimality for a bounded
-// search cost: on workloads whose divisor structure explodes the
-// exhaustive space (large composite N and F), Algorithm 1 can take
-// seconds while random search with a few thousand samples typically lands
-// within a few percent of the exhaustive pick.
-func RandomSearch(p *pim.Platform, w pim.Workload, cfg mapping.SpaceConfig, budget int, seed int64) (*Result, error) {
-	var pool []pim.Mapping
-	mapping.Enumerate(p, w, cfg, func(m pim.Mapping) {
-		pool = append(pool, m)
-	})
-	if len(pool) == 0 {
-		return nil, ErrNoLegalMapping
-	}
-	rng := rand.New(rand.NewSource(seed))
-	if budget > len(pool) {
-		budget = len(pool)
-	}
-	out := &Result{}
-	bestCost := math.Inf(1)
-	for i := 0; i < budget; i++ {
-		m := pool[rng.Intn(len(pool))]
-		t := mapping.Cost(p, w, m)
-		out.Evaluated++
-		if c := t.Total(); c < bestCost {
-			bestCost = c
-			out.Mapping = m
-			out.Predicted = t
-		}
-	}
-	out.Simulated = pim.SimTiming(p, w, out.Mapping)
-	return out, nil
 }

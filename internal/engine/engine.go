@@ -136,14 +136,27 @@ type Config struct {
 
 func (c Config) rows() int { return c.Batch * c.Model.SeqLen }
 
-// tuneKey identifies one tuning problem: a workload shape on a platform.
+// tuneKey identifies one tuning problem: a workload shape on a platform,
+// searched over one mapping space. The space is stored flattened so the
+// key has no padding and the cache map hashes it as plain memory.
 type tuneKey struct {
-	platform *pim.Platform
-	workload pim.Workload
+	platform      *pim.Platform
+	workload      pim.Workload
+	maxDivisors   int
+	requireAllPEs int // 0 or 1
 }
 
-// Engine caches tuned mappings per (platform, workload shape) so a model
-// is tuned once (the paper: ~1 s/model, reused across inference).
+func newTuneKey(p *pim.Platform, w pim.Workload, cfg mapping.SpaceConfig) tuneKey {
+	k := tuneKey{platform: p, workload: w, maxDivisors: cfg.MaxDivisors}
+	if cfg.RequireAllPEs {
+		k.requireAllPEs = 1
+	}
+	return k
+}
+
+// Engine caches tuned mappings per (platform, workload shape, search
+// space) so a model is tuned once (the paper: ~1 s/model, reused across
+// inference).
 type Engine struct {
 	cache map[tuneKey]*autotuner.Result
 }
@@ -155,7 +168,7 @@ func New() *Engine {
 
 // TunedMapping returns the auto-tuned mapping for w on p, caching results.
 func (e *Engine) TunedMapping(p *pim.Platform, w pim.Workload, cfg mapping.SpaceConfig) (*autotuner.Result, error) {
-	k := tuneKey{p, w}
+	k := newTuneKey(p, w, cfg)
 	if r, ok := e.cache[k]; ok {
 		return r, nil
 	}

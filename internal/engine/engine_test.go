@@ -67,6 +67,33 @@ func TestMappingCacheReused(t *testing.T) {
 	}
 }
 
+func TestMappingCacheKeyedBySearchSpace(t *testing.T) {
+	// One engine asked for the same shape under different search spaces
+	// must answer each as a fresh engine would, not replay the first.
+	p := pim.UPMEM()
+	w := pim.Workload{N: 1024, CB: 96, CT: 16, F: 768, ElemBytes: 1}
+	spaces := []mapping.SpaceConfig{{MaxDivisors: 8}, {MaxDivisors: 3}, {MaxDivisors: 8, RequireAllPEs: true}}
+	shared := New()
+	distinct := map[pim.Mapping]bool{}
+	for _, space := range spaces {
+		got, err := shared.TunedMapping(p, w, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New().TunedMapping(p, w, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Fatalf("space %+v: shared engine returned %+v, a fresh engine %+v", space, *got, *want)
+		}
+		distinct[got.Mapping] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatal("the spaces all tune to one mapping; the test cannot tell a stale cache hit")
+	}
+}
+
 func TestPIMDLBeatsPIMGEMMEndToEnd(t *testing.T) {
 	// The paper's headline: 22.6×–37.1× over GEMM-based inference on the
 	// same PIM hardware. At unit-test scale we check >5×.

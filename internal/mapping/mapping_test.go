@@ -229,3 +229,181 @@ func TestSimMatchesModelStructure(t *testing.T) {
 		t.Fatal("nothing checked")
 	}
 }
+
+// costReference is the cost model as first written — closed-form visit
+// counts through a trip map and a closure — kept as the reference that
+// pins Cost's float-operation order.
+func costReference(p *pim.Platform, w pim.Workload, m pim.Mapping) pim.Timing {
+	var t pim.Timing
+	npe := m.PEs(w)
+	idxCopies, lutCopies := float64(npe), float64(npe)
+	if p.SharedMemoryHost {
+		idxCopies = float64(m.Groups(w))
+		lutCopies = float64(m.PEsPerGroup(w))
+	}
+	idxBytes := float64(m.NsTile*w.CB) * idxCopies
+	idxMode := pim.Scatter
+	if m.PEsPerGroup(w) > 1 {
+		idxMode = pim.Broadcast
+	}
+	t.HostIndex = p.HostTransferTime(idxBytes, idxMode)
+	lutBytes := float64(w.CB*w.CT*m.FsTile*w.ElemBytes) * lutCopies
+	lutMode := pim.Scatter
+	if m.Groups(w) > 1 {
+		lutMode = pim.Broadcast
+	}
+	t.HostLUT = p.HostTransferTime(lutBytes, lutMode)
+	t.HostOutput = p.HostTransferTime(float64(w.OutputBytes()), pim.Gather)
+
+	tn := m.NsTile / m.NmTile
+	tf := m.FsTile / m.FmTile
+	tcb := w.CB / m.CBmTile
+	trips := map[pim.Loop]int{pim.LoopN: tn, pim.LoopF: tf, pim.LoopCB: tcb}
+	visits := func(dims ...pim.Loop) int {
+		deepest := -1
+		for i, l := range m.Traversal {
+			for _, d := range dims {
+				if d == l {
+					deepest = i
+				}
+			}
+		}
+		prod := 1
+		for i := 0; i <= deepest; i++ {
+			prod *= trips[m.Traversal[i]]
+		}
+		return prod
+	}
+	var bytes, lutKBytes float64
+	var ops int
+	iv := visits(pim.LoopN, pim.LoopCB)
+	bytes += float64(iv) * float64(m.NmTile*m.CBmTile)
+	ops += iv
+	ov := visits(pim.LoopN, pim.LoopF)
+	distinct := tn * tf
+	bytes += float64(2*ov-distinct) * float64(m.NmTile*m.FmTile*4)
+	ops += 2*ov - distinct
+	switch m.Scheme {
+	case pim.StaticLoad:
+		lutKBytes += float64(w.CB * w.CT * m.FsTile * w.ElemBytes)
+		ops++
+	case pim.CoarseLoad:
+		lv := visits(pim.LoopCB, pim.LoopF)
+		per := (m.CBmTile / m.CBLoadTile) * (m.FmTile / m.FLoadTile)
+		lutKBytes += float64(lv) * float64(per) * float64(m.CBLoadTile*w.CT*m.FLoadTile*w.ElemBytes)
+		ops += lv * per
+	case pim.FineLoad:
+		elems := float64(m.NsTile) * float64(w.CB) * float64(m.FsTile)
+		lutKBytes += elems * float64(w.ElemBytes)
+		ops += int(elems) / m.FLoadTile
+	}
+	eff := p.LUTAccessEff
+	if eff <= 0 {
+		eff = 1
+	}
+	t.KernelXfer = p.LocalTransferTime(bytes+lutKBytes/eff, ops)
+	t.KernelRed = p.ReduceTime(float64(m.NsTile)*float64(w.CB)*float64(m.FsTile), m.Scheme)
+	if p.OverlapComputeTransfer {
+		if t.KernelXfer >= t.KernelRed {
+			t.KernelRed = 0
+		} else {
+			t.KernelXfer = 0
+		}
+	}
+	return t
+}
+
+// enumerateReference is the enumeration as first written: every tile,
+// order, scheme and load-tile combination, filtered by Mapping.Validate.
+func enumerateReference(p *pim.Platform, w pim.Workload, cfg SpaceConfig, yield func(pim.Mapping)) {
+	for _, ns := range divisors(w.N, cfg.maxDiv()) {
+		for _, fs := range divisors(w.F, cfg.maxDiv()) {
+			if npe := (w.N / ns) * (w.F / fs); npe > p.NumPE || (cfg.RequireAllPEs && npe != p.NumPE) {
+				continue
+			}
+			for _, nm := range divisors(ns, cfg.maxDiv()) {
+				for _, fm := range divisors(fs, cfg.maxDiv()) {
+					for _, cbm := range divisors(w.CB, cfg.maxDiv()) {
+						for _, ord := range Orders {
+							for _, sc := range Schemes {
+								m := pim.Mapping{NsTile: ns, FsTile: fs, NmTile: nm, FmTile: fm, CBmTile: cbm, Traversal: ord, Scheme: sc}
+								cbls, fls := []int{0}, []int{0}
+								if sc == pim.CoarseLoad {
+									cbls = divisors(cbm, 4)
+								}
+								if sc != pim.StaticLoad {
+									fls = divisors(fm, 4)
+								}
+								for _, cbl := range cbls {
+									for _, fl := range fls {
+										m.CBLoadTile, m.FLoadTile = cbl, fl
+										if m.Validate(p, w) == nil {
+											yield(m)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEnumerateAndCostMatchReferences pins the two things the tuner's
+// exactness is stated against: Enumerate yields exactly the
+// Validate-filtered space in the original order (legality by construction
+// drops nothing and admits nothing), and Cost is bit-identical to the
+// original formulation on every mapping of it.
+func TestEnumerateAndCostMatchReferences(t *testing.T) {
+	cramped := pim.UPMEM() // bank and buffer limits that cut into the space
+	cramped.NumPE, cramped.WRAMBytes, cramped.MRAMBytes = 24, 2<<10, 24<<10
+	for _, tc := range []struct {
+		p   *pim.Platform
+		w   pim.Workload
+		cfg SpaceConfig
+	}{
+		{pim.UPMEM(), pim.Workload{N: 256, CB: 32, CT: 16, F: 192, ElemBytes: 1}, SpaceConfig{MaxDivisors: 5}},
+		{pim.HBMPIM(), pim.Workload{N: 128, CB: 24, CT: 16, F: 96, ElemBytes: 2}, SpaceConfig{MaxDivisors: 4}},
+		{pim.AiM(), pim.Workload{N: 96, CB: 16, CT: 8, F: 64, ElemBytes: 2}, SpaceConfig{MaxDivisors: 4}},
+		{cramped, pim.Workload{N: 48, CB: 12, CT: 16, F: 60, ElemBytes: 4}, SpaceConfig{}},
+		{cramped, pim.Workload{N: 48, CB: 12, CT: 16, F: 60, ElemBytes: 1}, SpaceConfig{MaxDivisors: 6, RequireAllPEs: true}},
+	} {
+		var want []pim.Mapping
+		enumerateReference(tc.p, tc.w, tc.cfg, func(m pim.Mapping) { want = append(want, m) })
+		if len(want) == 0 {
+			t.Fatalf("%s %+v: empty reference space", tc.p.Name, tc.w)
+		}
+		i := 0
+		Enumerate(tc.p, tc.w, tc.cfg, func(m pim.Mapping) {
+			if i >= len(want) || m != want[i] {
+				t.Fatalf("%s %+v: mapping #%d is %v, reference differs (%d in all)", tc.p.Name, tc.w, i, m, len(want))
+			}
+			if got, ref := Cost(tc.p, tc.w, m), costReference(tc.p, tc.w, m); got != ref {
+				t.Fatalf("%s %v: Cost %+v, reference %+v", tc.p.Name, m, got, ref)
+			}
+			i++
+		})
+		if i != len(want) {
+			t.Fatalf("%s %+v: enumerated %d mappings, reference %d", tc.p.Name, tc.w, i, len(want))
+		}
+	}
+}
+
+func TestCostDoesNotAllocate(t *testing.T) {
+	p, w := pim.UPMEM(), bertWorkload()
+	var ms []pim.Mapping
+	MicroKernels(p, w, 128, 96, SpaceConfig{MaxDivisors: 3}, nil, func(m pim.Mapping) { ms = append(ms, m) })
+	if len(ms) == 0 {
+		t.Fatal("no legal mapping")
+	}
+	i := 0
+	var sink pim.Timing
+	if a := testing.AllocsPerRun(1000, func() { sink = Cost(p, w, ms[i%len(ms)]); i++ }); a != 0 {
+		t.Fatalf("Cost allocates %v times per call", a)
+	}
+	if sink.Total() <= 0 {
+		t.Fatal("non-positive cost")
+	}
+}

@@ -78,10 +78,10 @@ func (m Mapping) String() string {
 		m.Traversal[0], m.Traversal[1], m.Traversal[2], m.Scheme)
 }
 
-// wramFootprint returns the on-chip bytes a PE needs under this mapping:
+// WRAMFootprint returns the on-chip bytes a PE needs under this mapping:
 // the index MTile, the output MTile (4-byte accumulators), and the
 // scheme's resident LUT window.
-func (m Mapping) wramFootprint(w Workload) int {
+func (m Mapping) WRAMFootprint(w Workload) int {
 	idx := m.NmTile * m.CBmTile
 	out := m.NmTile * m.FmTile * 4
 	var lut int
@@ -94,6 +94,12 @@ func (m Mapping) wramFootprint(w Workload) int {
 		lut = m.FLoadTile * w.ElemBytes * 16 // one window per hardware thread
 	}
 	return idx + out + lut
+}
+
+// BankFootprint returns the local-bank bytes a PE holds under this
+// mapping's sub-LUT partition: its index, LUT and output tiles.
+func (m Mapping) BankFootprint(w Workload) int64 {
+	return int64(m.NsTile*w.CB) + int64(w.CB*w.CT*m.FsTile*w.ElemBytes) + int64(m.NsTile*m.FsTile*4)
 }
 
 // Validate reports whether the mapping is legal for workload w on platform
@@ -140,11 +146,10 @@ func (m Mapping) Validate(p *Platform, w Workload) error {
 			return fmt.Errorf("pim: fine FLoadTile %d does not divide Fm %d", m.FLoadTile, m.FmTile)
 		}
 	}
-	if fp := m.wramFootprint(w); fp > p.WRAMBytes {
+	if fp := m.WRAMFootprint(w); fp > p.WRAMBytes {
 		return fmt.Errorf("pim: WRAM footprint %d exceeds %d", fp, p.WRAMBytes)
 	}
-	perPE := int64(m.NsTile*w.CB) + int64(w.CB*w.CT*m.FsTile*w.ElemBytes) + int64(m.NsTile*m.FsTile*4)
-	if perPE > p.MRAMBytes {
+	if perPE := m.BankFootprint(w); perPE > p.MRAMBytes {
 		return fmt.Errorf("pim: per-PE bank footprint %d exceeds %d", perPE, p.MRAMBytes)
 	}
 	seen := map[Loop]bool{}
