@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke trace-smoke bench bench-smoke bench-json metrics-smoke bench-overhead vet fmt lint lint-baseline experiments examples clean
+.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke trace-smoke benchmark benchmark-compare metrics-smoke vet fmt lint lint-baseline experiments examples clean
 
 all: build vet lint test
 
@@ -113,32 +113,16 @@ shard-smoke:
 		-require pimdl_shard_min_live_replicas \
 		shard-snapshot.json
 
-# decode-smoke exercises the KV-cached decode fastpath end to end:
-# first the bit-exactness oracles under the race detector (cached ==
-# uncached Generate token for token, single-row CCS/gather == the
-# batch kernels, DecodeBatch == solo sessions, the live DecodeServer ==
-# nn.Generate under concurrency), then one pimdl-bench decode run that
-# must clear a 3x cached-over-naive tokens/sec floor and carry the
-# pimdl_decode_* series, then -compare -decode-only against the
-# committed baseline: the within-report speedup ratios (machine-
-# independent, unlike raw ns/token) must not shrink beyond the usual
-# 10% gate. CI uploads decode-report.json as an artifact. See
-# DESIGN.md §14.
+# decode-smoke runs the KV-cached decode fastpath's bit-exactness
+# oracles under the race detector: cached == uncached Generate token for
+# token, single-row CCS/gather == the batch kernels, DecodeBatch == solo
+# sessions, the live DecodeServer == nn.Generate under concurrency, and
+# the pimdl_decode_* series deltas. Decode speed is measured by the
+# benchmark's decode workload (make benchmark). See DESIGN.md §14.
 decode-smoke:
 	$(GO) test -race ./internal/nn/ ./internal/lutnn/ ./internal/serving/live/ \
-		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|PickToken|DecodeServer|SearchRow|DecodeLookupRow|ForwardRow' \
+		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|DecodeServer|SearchRow|DecodeLookupRow|ForwardRow' \
 		-v -timeout 600s
-	$(GO) run ./cmd/pimdl-bench -exp none -json -decode \
-		-decode-min-speedup 3 -o decode-report.json \
-		-metrics decode-metrics.json
-	$(GO) run ./cmd/pimdl-metrics-check \
-		-require pimdl_decode_steps_total \
-		-require pimdl_decode_prefill_rows_total \
-		-require pimdl_decode_batch_steps_total \
-		-require pimdl_decode_batch_rows \
-		decode-metrics.json
-	$(GO) run ./cmd/pimdl-bench -compare -decode-only \
-		BENCH_2026-08-08.json decode-report.json
 
 # trace-smoke exercises the request-scoped tracing layer end to end:
 # first the tracing oracles under the race detector (server spans
@@ -154,19 +138,16 @@ trace-smoke:
 	$(GO) run -race ./cmd/pimdl-trace -requests 800 -top 5 		-json trace-report.json -trace trace-spans.json
 	$(GO) test -race ./cmd/pimdl-trace/ -timeout 300s
 
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run XXX .
+# benchmark runs the repository benchmark (benchmark/README.md) over all
+# six workloads and appends one record per workload to
+# benchmark-run.ndjson; it exits 1 when any output check fails. Repeated
+# runs accumulate records, and -compare takes the median over them:
+#   make benchmark-compare A=parent.ndjson B=benchmark-run.ndjson
+benchmark:
+	$(GO) run ./benchmark -workload all -seed 1 -out benchmark-run.ndjson
 
-# bench-smoke runs every benchmark exactly once — a fast CI check that
-# the benchmarks still compile and execute.
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run XXX .
-
-# bench-json writes per-experiment wall time and kernel throughput to
-# BENCH_<date>.json; diff against a committed baseline with
-#   go run ./cmd/pimdl-bench -compare BENCH_old.json BENCH_new.json
-bench-json:
-	$(GO) run ./cmd/pimdl-bench -exp fig11 -json
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # metrics-smoke runs one small pimdl-sim with -metrics and validates the
 # snapshot parses and carries the required series (see DESIGN.md §10).
@@ -182,20 +163,8 @@ metrics-smoke:
 		-require pimdl_parallel_workers \
 		metrics-snapshot.json
 
-# bench-overhead guards the metrics hot-path cost: one process times
-# each kernel (no experiments — their sub-millisecond wall clocks are
-# noise) with metrics recording disabled and enabled, the calls
-# interleaved so machine drift cancels, then -compare fails if the
-# enabled mode is more than 2% slower. Two sequential processes cannot
-# enforce a 2% bound: run-to-run drift on shared CI hosts dwarfs the
-# real sub-1% recording cost.
-bench-overhead:
-	$(GO) run ./cmd/pimdl-bench -exp none -quick -json \
-		-overhead-baseline bench-nometrics.json -o bench-metrics.json
-	$(GO) run ./cmd/pimdl-bench -compare -tolerance 0.02 bench-nometrics.json bench-metrics.json
-
 experiments:
-	$(GO) run ./cmd/pimdl-bench -exp all | tee bench_results.txt
+	$(GO) run ./cmd/pimdl-experiments -exp all | tee bench_results.txt
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -209,6 +178,5 @@ examples:
 clean:
 	rm -f test_output.txt bench_output.txt \
 		metrics-snapshot.json chaos-snapshot.json shard-snapshot.json \
-		bench-nometrics.json bench-metrics.json \
-		decode-report.json decode-metrics.json \
+		benchmark-run.ndjson \
 		trace-report.json trace-spans.json

@@ -4,8 +4,12 @@
 //
 // See README.md for an overview, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation; run it with:
+// The pimdl-experiments command regenerates every table and figure of the
+// paper's evaluation:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/pimdl-experiments -exp all
+//
+// Performance is measured by the repository benchmark (benchmark/README.md):
+//
+//	go run ./benchmark -workload all -seed 1
 package repro

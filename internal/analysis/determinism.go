@@ -11,10 +11,10 @@ import (
 // simulator core, the kernels, clustering, the serving/fault simulators
 // and everything the golden and determinism tests
 // (kmeans/determinism_test.go, the fault-plan goldens, the fastpath
-// bit-exactness oracles) pin. The bench harness and the metrics
-// registry are deliberately absent: wall-clock reads are the bench
-// package's job, and the metrics shard picker uses the runtime's
-// per-thread generator by design. Tests may append fixture paths.
+// bit-exactness oracles) pin. The benchmark command and the metrics
+// registry are deliberately absent: wall-clock reads are the benchmark's
+// job, and the metrics shard picker uses the runtime's per-thread
+// generator by design. Tests may append fixture paths.
 var DeterminismPackages = []string{
 	"internal/pim",
 	"internal/shard",

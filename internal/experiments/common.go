@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§6). Each experiment has a driver that computes the same
 // rows/series the paper reports and a Render method that prints them; the
-// pimdl-bench command and the repository's benchmark suite are thin
-// wrappers over these drivers.
+// pimdl-experiments command is a thin wrapper over these drivers.
 //
 // Absolute numbers come from our simulators and roofline models, not the
 // authors' testbed, so they are not expected to match the paper digit for

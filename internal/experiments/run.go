@@ -14,7 +14,7 @@ type Renderer interface {
 // Runner executes one named experiment.
 type Runner func(quick bool) (Renderer, error)
 
-// Registry maps experiment ids (as used by `pimdl-bench -exp`) to runners.
+// Registry maps experiment ids (as used by `pimdl-experiments -exp`) to runners.
 var Registry = map[string]Runner{
 	"fig3": func(bool) (Renderer, error) { return Fig3(), nil },
 	"fig4": func(bool) (Renderer, error) { return Fig4(), nil },

@@ -46,7 +46,7 @@ var QuickAccuracy = AccuracyConfig{
 	Params: lutnn.Params{V: 8, CT: 4}, Seed: 7,
 }
 
-// FullAccuracy is the configuration used by pimdl-bench: all eight
+// FullAccuracy is the configuration used by pimdl-experiments: all eight
 // GLUE-stand-in tasks, longer training and calibration.
 var FullAccuracy = AccuracyConfig{
 	Tasks: 8, TrainEpochs: 40, CalibIters: 500,

@@ -26,8 +26,9 @@
 //
 // Metrics are enabled by default; setting the environment variable
 // PIMDL_METRICS to "0", "off" or "false" disables all recording helpers
-// (the registry still exists and snapshots report zeros), which is how
-// the bench-overhead CI guard obtains its no-metrics baseline.
+// (the registry still exists and snapshots report zeros), so the
+// recording cost can be measured against a metrics-off run of the same
+// benchmark workload.
 package metrics
 
 import (

@@ -339,7 +339,7 @@ func (r *Registry) Snapshot() []Sample {
 }
 
 // Flatten returns the snapshot as a flat map from series key
-// (name or name{label}) to value — the form the bench report embeds.
+// (name or name{label}) to value — the diffable form.
 func (r *Registry) Flatten() map[string]float64 {
 	out := map[string]float64{}
 	for _, s := range r.Snapshot() {

@@ -50,17 +50,25 @@ func (m *Model) CollectActivations(batches []*Batch, maxRows int, seed int64) ma
 			parts[key{layer, role}] = append(parts[key{layer, role}], acts.Clone())
 		})
 	}
+	// One rng serves every layer, so the subsampling draws must follow a
+	// fixed (layer, role) order, never map iteration order.
 	rng := rand.New(rand.NewSource(seed))
 	out := map[int]map[LinearRole]*tensor.Tensor{}
-	for k, ps := range parts {
-		all := tensor.ConcatRows(ps...)
-		if all.Dim(0) > maxRows {
-			all = sampleRows(rng, all, maxRows)
+	for li := range m.Blocks {
+		for _, r := range Roles {
+			ps, ok := parts[key{li, r}]
+			if !ok {
+				continue
+			}
+			all := tensor.ConcatRows(ps...)
+			if all.Dim(0) > maxRows {
+				all = sampleRows(rng, all, maxRows)
+			}
+			if out[li] == nil {
+				out[li] = map[LinearRole]*tensor.Tensor{}
+			}
+			out[li][r] = all
 		}
-		if out[k.layer] == nil {
-			out[k.layer] = map[LinearRole]*tensor.Tensor{}
-		}
-		out[k.layer][k.role] = all
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lutnn"
+	"repro/internal/metrics"
 )
 
 // Decode-fastpath oracle tests (DESIGN.md §14): KV-cached decode must be
@@ -196,6 +197,54 @@ func TestDecodeBatchMatchesIndividual(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeMetricsSeries checks that the decode paths feed the
+// pimdl_decode_* series of the default registry. The registry is
+// process-global, so the test asserts deltas, not absolute values.
+func TestDecodeMetricsSeries(t *testing.T) {
+	m := causalModel(t, 8, BackendGEMM, 115)
+	before := metrics.Default().Flatten()
+
+	// 3 prompt rows prefilled, then 3 cached steps (the 4th token is
+	// picked, not fed).
+	if _, err := m.GenerateCached([]int{1, 2, 3}, 4, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	// 1+2 prompt rows prefilled, then one stacked step of 2 rows.
+	db := NewDecodeBatch(m)
+	for _, p := range [][]int{{4}, {5, 6}} {
+		s, err := NewDecodeSession(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Feed([]int{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+
+	after := metrics.Default().Flatten()
+	for series, want := range map[string]float64{
+		"pimdl_decode_steps_total":               5,
+		"pimdl_decode_prefill_rows_total":        6,
+		"pimdl_decode_rebases_total":             0,
+		"pimdl_decode_batch_steps_total":         1,
+		"pimdl_decode_batch_rows_count":          1,
+		"pimdl_decode_batch_rows_sum":            2,
+		`pimdl_decode_batch_rows_bucket{le="1"}`: 0,
+		`pimdl_decode_batch_rows_bucket{le="2"}`: 1,
+	} {
+		v, ok := after[series]
+		if !ok {
+			t.Fatalf("series %s missing from the default registry", series)
+		}
+		if got := v - before[series]; got != want {
+			t.Errorf("%s grew by %g, want %g", series, got, want)
+		}
 	}
 }
 

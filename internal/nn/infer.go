@@ -128,7 +128,10 @@ func poolRows(x *tensor.Tensor, group int) *tensor.Tensor {
 
 // SetBackend switches every convertible linear layer to the given backend.
 // Switching to a LUT backend requires prior conversion (it panics on an
-// unconverted layer).
+// unconverted layer). The backend is the only INT8 switch: every lutnn
+// entry point runs the quantized table whenever one is attached, so any
+// backend other than BackendLUTInt8 detaches it (re-quantizing on the
+// way back is deterministic).
 func (m *Model) SetBackend(be Backend) {
 	for _, blk := range m.Blocks {
 		for _, r := range Roles {
@@ -136,8 +139,11 @@ func (m *Model) SetBackend(be Backend) {
 			if be != BackendGEMM && l.LUT == nil {
 				panic("nn: SetBackend(LUT) before conversion")
 			}
-			if be == BackendLUTInt8 && l.LUT.QTable == nil {
+			switch {
+			case be == BackendLUTInt8 && l.LUT.QTable == nil:
 				l.LUT.EnableINT8()
+			case be != BackendLUTInt8 && l.LUT != nil:
+				l.LUT.QTable = nil
 			}
 			l.Backend = be
 		}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -158,6 +159,37 @@ func TestCollectActivationsSamplesDown(t *testing.T) {
 	}
 }
 
+// TestConvertBaselineReproducibleWhenSubsampling converts one model
+// repeatedly with calibration rows above MaxClusterRows: the subsampling
+// draws share one rng across layers, so they must not depend on map
+// iteration order.
+func TestConvertBaselineReproducibleWhenSubsampling(t *testing.T) {
+	c := Tiny(TokenInput, 6, 2)
+	m := NewModel(c, 21)
+	batches := synthTokenBatches(rand.New(rand.NewSource(22)), c, 3, 4)
+	cfg := ConvertConfig{Params: lutnn.Params{V: 2, CT: 8}, Seed: 23, MaxClusterRows: 16}
+	codebooks := func() [][]float32 {
+		if err := m.ConvertBaseline(batches, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]float32
+		for _, blk := range m.Blocks {
+			for _, r := range Roles {
+				out = append(out, blk.Linear(r).LUT.Codebooks.Data)
+			}
+		}
+		return out
+	}
+	want := codebooks()
+	for run := 1; run < 5; run++ {
+		for i, got := range codebooks() {
+			if !sameBits(got, want[i]) {
+				t.Fatalf("run %d: linear %d codebooks differ from run 0", run, i)
+			}
+		}
+	}
+}
+
 func TestConvertBaselineAttachesAllLayers(t *testing.T) {
 	c := Tiny(TokenInput, 6, 2)
 	m := NewModel(c, 17)
@@ -187,6 +219,54 @@ func TestSetBackendPanicsWithoutConversion(t *testing.T) {
 		}
 	}()
 	NewModel(Tiny(TokenInput, 4, 2), 20).SetBackend(BackendLUT)
+}
+
+// TestSetBackendLUTAfterINT8 switches a converted model FP32 -> INT8 ->
+// FP32 -> INT8: each FP32 leg must reproduce the never-quantized logits
+// bit for bit on the batch path and the decode row path, and each INT8
+// leg the first INT8 logits.
+func TestSetBackendLUTAfterINT8(t *testing.T) {
+	m := causalModel(t, 8, BackendLUT, 131)
+	prompt := []int{3, 1, 4, 1, 5}
+	batch := &Batch{TokenIDs: []int{3, 1, 4, 1, 5, 9, 2, 6}, BatchN: 1}
+	logits := func() (batchPath, rowPath []float32) {
+		s, err := NewDecodeSession(m, prompt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Infer(batch, nil).Data, append([]float32(nil), s.Logits()...)
+	}
+	fp32Batch, fp32Row := logits()
+	m.SetBackend(BackendLUTInt8)
+	int8Batch, int8Row := logits()
+	if sameBits(int8Batch, fp32Batch) {
+		t.Fatal("INT8 and FP32 logits are identical; the test cannot tell the backends apart")
+	}
+	for leg := 0; leg < 2; leg++ {
+		m.SetBackend(BackendLUT)
+		b, r := logits()
+		if !sameBits(b, fp32Batch) || !sameBits(r, fp32Row) {
+			t.Fatalf("leg %d: BackendLUT after BackendLUTInt8 does not reproduce the FP32 logits", leg)
+		}
+		m.SetBackend(BackendLUTInt8)
+		b, r = logits()
+		if !sameBits(b, int8Batch) || !sameBits(r, int8Row) {
+			t.Fatalf("leg %d: re-quantized INT8 logits differ from the first INT8 logits", leg)
+		}
+	}
+}
+
+// sameBits reports whether a and b are equal bit for bit.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestELUTNNRecoversAccuracy(t *testing.T) {

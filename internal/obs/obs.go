@@ -34,8 +34,8 @@
 //
 // Recording is gated like metrics: a nil *Tracer is a valid no-op
 // everywhere, and SetEnabled(false) (or PIMDL_TRACE=0) turns the
-// helpers off globally — which is how the bench-overhead guard obtains
-// its spans-off baseline.
+// helpers off globally, so the recording cost can be measured against a
+// spans-off run of the same benchmark workload.
 package obs
 
 import (
@@ -59,14 +59,13 @@ func init() {
 }
 
 // Enabled reports whether span recording helpers should record. A nil
-// Tracer is always a no-op regardless; this global gate exists so the
-// overhead guard can toggle spans without rebuilding servers.
+// Tracer is always a no-op regardless; this global gate toggles spans
+// without rebuilding servers.
 //
 //pimdl:hotpath
 func Enabled() bool { return enabledFlag.Load() }
 
-// SetEnabled turns span recording on or off at runtime (tests, the
-// bench-overhead AB harness).
+// SetEnabled turns span recording on or off at runtime (tests).
 func SetEnabled(on bool) { enabledFlag.Store(on) }
 
 // Phase classifies a span's time for the attribution report. Phase
@@ -130,7 +129,7 @@ type Attr struct {
 }
 
 // Str / Int / Float / Bool construct typed attributes.
-func Str(k, v string) Attr      { return Attr{Key: k, Kind: AttrString, S: v} }
+func Str(k, v string) Attr       { return Attr{Key: k, Kind: AttrString, S: v} }
 func Int(k string, v int64) Attr { return Attr{Key: k, Kind: AttrInt, I: v} }
 func Float(k string, v float64) Attr {
 	return Attr{Key: k, Kind: AttrFloat, F: v}
