@@ -116,22 +116,21 @@ shard-smoke:
 # decode-smoke runs the KV-cached decode fastpath's bit-exactness
 # oracles under the race detector: cached == uncached Generate token for
 # token, single-row CCS/gather == the batch kernels, DecodeBatch == solo
-# sessions, the live DecodeServer == nn.Generate under concurrency, and
-# the pimdl_decode_* series deltas. Decode speed is measured by the
+# sessions, and the pimdl_decode_* series deltas. Decode speed is measured by the
 # benchmark's decode workload (make benchmark). See DESIGN.md §14.
 decode-smoke:
-	$(GO) test -race ./internal/nn/ ./internal/lutnn/ ./internal/serving/live/ \
-		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|DecodeServer|SearchRow|DecodeLookupRow|ForwardRow' \
+	$(GO) test -race ./internal/nn/ ./internal/lutnn/ \
+		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|SearchRow|DecodeLookupRow|ForwardRow' \
 		-v -timeout 600s
 
 # trace-smoke exercises the request-scoped tracing layer end to end:
 # first the tracing oracles under the race detector (server spans
-# reconcile against recorded latencies, decode-server spans reconcile
-# under real concurrency, exemplar slots resolve, the Perfetto spans
-# track keeps its pinned event counts), then one pimdl-trace chaos run
-# — itself built with -race — which refuses to print a report unless
-# every kept trace's per-phase seconds sum to its end-to-end latency
-# within 1e-9 and every exemplar the run stamped resolves in the ring.
+# reconcile against recorded latencies, exemplar slots resolve, the
+# Perfetto spans track keeps its pinned event counts), then one
+# pimdl-trace chaos run — itself built with -race — which refuses to
+# print a report unless every kept trace's per-phase seconds sum to its
+# end-to-end latency within 1e-9 and every exemplar the run stamped
+# resolves in the ring.
 # CI uploads trace-report.json as an artifact. See DESIGN.md §15.
 trace-smoke:
 	$(GO) test -race ./internal/obs/ ./internal/serving/live/ ./internal/trace/ 		-run 'Trace|Tracer|Reconcile|Breakdown|Report|Exemplar|SpansTrack' 		-v -timeout 600s

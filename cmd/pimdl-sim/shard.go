@@ -142,7 +142,7 @@ func runSharded(cfg *simConfig, out io.Writer) error {
 	res, err := cl.ExecuteLUT(idx, layer.Table, cfg.faults, st)
 	if errors.Is(err, shard.ErrAllReplicasLost) {
 		stdout.printf("\nIrrecoverable: %v\n", err)
-		stdout.printf("(the engine's host-GEMM fallback fires here; revive a replica or raise -shard-replicas)\n")
+		stdout.printf("(the live runtime's host fallback fires here; revive a replica or raise -shard-replicas)\n")
 		if stdout.err != nil {
 			return stdout.err
 		}

@@ -3,8 +3,8 @@
 // spread, one dead shard absorbed by replica failover, per-PE faults
 // recovered with per-shard derived plans, and finally both replicas of
 // a range lost, the one state the cluster cannot route around
-// (shard.ErrAllReplicasLost matches pim.ErrIrrecoverable, so the
-// engine's host-GEMM fallback fires on exactly this condition).
+// (shard.ErrAllReplicasLost matches pim.ErrIrrecoverable, so the live
+// runtime's host fallback fires on exactly this condition).
 //
 // Run with: go run ./examples/sharded_cluster
 package main

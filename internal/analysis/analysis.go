@@ -51,6 +51,11 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
+	// Prepare, when set, runs once over every loaded package before the
+	// per-package loop, recording whole-program facts. It returns false
+	// when the analyzer cannot judge this load; the analyzer is then
+	// skipped and its suppression directives are not reported stale.
+	Prepare func(*Facts, []*Package) bool
 }
 
 // Facts carries analyzer-computed information across packages. A run
@@ -66,6 +71,14 @@ type Facts struct {
 	// MetricSeries maps each metric series name registered with a
 	// string literal to its first registration site.
 	MetricSeries map[string]token.Position
+	// Referenced holds every package-level object and method that a
+	// loaded (non-test) file mentions outside the object's own
+	// declaration, recorded by deadexport's Prepare.
+	Referenced map[types.Object]bool
+	// IfaceMethods indexes the interfaces visible to the loaded packages
+	// (declared in them or anything they import, plus error) by method
+	// name, so deadexport can keep interface-satisfying methods.
+	IfaceMethods map[string][]*types.Interface
 }
 
 // NewFacts returns an empty fact store.
@@ -119,6 +132,7 @@ func All() []*Analyzer {
 		MetricDiscipline,
 		LockDiscipline,
 		Hotpath,
+		DeadExport,
 	}
 }
 
@@ -191,14 +205,6 @@ func applySuppressions(findings []Finding, dirs map[string]*ignoreDirective) []F
 	return out
 }
 
-// RunPackage runs the given analyzers over one type-checked package and
-// returns the surviving (non-suppressed) findings, sorted by position.
-// Cross-package facts start empty; multi-package runs use RunPackages.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkgPath string, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Finding {
-	p := &Package{Files: files, Fset: fset, ImportPath: pkgPath, Pkg: pkg, Info: info}
-	return RunPackages([]*Package{p}, analyzers, RunOptions{})
-}
-
 // RunOptions configures a multi-package analysis run.
 type RunOptions struct {
 	// ReportStale reports suppression directives that silenced no
@@ -216,10 +222,19 @@ type RunOptions struct {
 // package order.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) []Finding {
 	facts := NewFacts()
+	var active []*Analyzer
+	inactive := map[string]bool{}
+	for _, a := range analyzers {
+		if a.Prepare != nil && !a.Prepare(facts, pkgs) {
+			inactive[a.Name] = true
+			continue
+		}
+		active = append(active, a)
+	}
 	var all []Finding
 	for _, pkg := range pkgs {
 		var findings []Finding
-		for _, a := range analyzers {
+		for _, a := range active {
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -236,7 +251,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) []Findi
 		findings = applySuppressions(findings, dirs)
 		findings = append(findings, bad...)
 		if opt.ReportStale {
-			findings = append(findings, staleDirectives(dirs)...)
+			findings = append(findings, staleDirectives(dirs, inactive)...)
 		}
 		sortFindings(findings)
 		all = append(all, findings...)
@@ -247,11 +262,12 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) []Findi
 // staleDirectives reports directives that suppressed nothing: a stale
 // directive means the code it guarded changed (or the finding never
 // existed) and the suppression now silently blesses future regressions
-// at that site.
-func staleDirectives(dirs map[string]*ignoreDirective) []Finding {
+// at that site. Directives for analyzers that sat this load out are
+// exempt: they had nothing to suppress.
+func staleDirectives(dirs map[string]*ignoreDirective, inactive map[string]bool) []Finding {
 	var out []Finding
 	for _, d := range dirs {
-		if !d.used {
+		if !d.used && !inactive[d.analyzer] {
 			out = append(out, Finding{
 				Analyzer: "lint-ignore",
 				Pos:      d.pos,

@@ -53,7 +53,7 @@ func fixture(t *testing.T, name string) *Package {
 func runFixture(t *testing.T, name string, a *Analyzer) []Finding {
 	t.Helper()
 	p := fixture(t, name)
-	return RunPackage(p.Fset, p.Files, p.ImportPath, p.Pkg, p.Info, []*Analyzer{a})
+	return RunPackages([]*Package{p}, []*Analyzer{a}, RunOptions{})
 }
 
 // checkMarkers compares findings against the fixture's `// want: <substr>`
@@ -171,8 +171,7 @@ func TestHotpathFixture(t *testing.T) {
 // shared-facts run can see: each package is clean in isolation.
 func TestMetricDupCrossPackage(t *testing.T) {
 	first, second := fixture(t, "metricdiscipline"), fixture(t, "metricdup")
-	if fs := RunPackage(second.Fset, second.Files, second.ImportPath, second.Pkg, second.Info,
-		[]*Analyzer{MetricDiscipline}); len(fs) != 0 {
+	if fs := RunPackages([]*Package{second}, []*Analyzer{MetricDiscipline}, RunOptions{}); len(fs) != 0 {
 		t.Fatalf("metricdup should be clean in isolation, got %v", fs)
 	}
 	findings := RunPackages([]*Package{first, second}, []*Analyzer{MetricDiscipline}, RunOptions{})
@@ -184,6 +183,34 @@ func TestMetricDupCrossPackage(t *testing.T) {
 	}
 	if len(dups) != 1 || !strings.Contains(dups[0].Message, "already registered") {
 		t.Errorf("want exactly one cross-package duplicate finding in metricdup, got %v", dups)
+	}
+}
+
+// TestDeadExportFixture loads the deadexport fixture, a module of its
+// own, whole. Dead funcs, methods, types, vars and consts are reported,
+// including one whose only caller is a test and one referenced only by
+// itself; symbols another package uses, methods that satisfy an interface
+// (one declared in the module, one in fmt) and main-package names are
+// not, and the suppressed oracle's directive is not stale.
+func TestDeadExportFixture(t *testing.T) {
+	pkgs, err := Load(filepath.Join("testdata", "src", "deadexport"), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := RunPackages(pkgs, []*Analyzer{DeadExport}, RunOptions{ReportStale: true})
+	checkMarkers(t, filepath.Join("deadexport", "lib"), findings)
+}
+
+// TestDeadExportPartialLoad loads the fixture's library without the
+// command that calls it. The load no longer covers the module, so the
+// analyzer reports nothing, and its directives are not reported stale.
+func TestDeadExportPartialLoad(t *testing.T) {
+	pkgs, err := Load(filepath.Join("testdata", "src", "deadexport"), []string{"./lib"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := RunPackages(pkgs, []*Analyzer{DeadExport}, RunOptions{ReportStale: true}); len(fs) != 0 {
+		t.Errorf("partial load reported %d finding(s), want none: %v", len(fs), fs)
 	}
 }
 
@@ -242,7 +269,7 @@ func TestAllRegistered(t *testing.T) {
 	for _, want := range []string{
 		"looprange-capture", "unchecked-error", "float-compare",
 		"panic-in-library", "shape-guard", "goroutinepool", "determinism",
-		"metricdiscipline", "lockdiscipline", "hotpath",
+		"metricdiscipline", "lockdiscipline", "hotpath", "deadexport",
 	} {
 		if !names[want] {
 			t.Errorf("All() is missing analyzer %q", want)

@@ -107,12 +107,8 @@ func LoadBaseline(path string) (Baseline, error) {
 // WriteBaseline records the findings as the new accepted debt, sorted
 // for stable diffs.
 func WriteBaseline(path string, findings []Finding, root string) error {
-	counts := map[string]int{}
-	for _, f := range findings {
-		counts[Fingerprint(f, root)]++
-	}
 	bf := baselineFile{Version: baselineVersion, Entries: []BaselineEntry{}}
-	for fp, n := range counts {
+	for fp, n := range NewBaseline(findings, root) {
 		parts := strings.SplitN(fp, "\x00", 3)
 		bf.Entries = append(bf.Entries, BaselineEntry{
 			Analyzer: parts[0], File: parts[1], Message: parts[2], Count: n,

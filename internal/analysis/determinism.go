@@ -27,7 +27,6 @@ var DeterminismPackages = []string{
 	"internal/nn",
 	"internal/autotuner",
 	"internal/workload",
-	"internal/dpu",
 	"internal/mapping",
 	"internal/energy",
 	"internal/experiments",
@@ -48,10 +47,14 @@ var DeterminismPackages = []string{
 //     slice: Go randomizes map order, so a `for k := range m` that sums
 //     floats (order-dependent rounding) or builds an output slice
 //     (order-dependent contents) produces run-to-run diffs. Sort the
-//     keys first, or accumulate order-independent integers.
+//     keys first, or accumulate order-independent integers;
+//   - random draws inside a map range: a call on a *rand.Rand declared
+//     outside the loop, or one that hands it to a callee, consumes the
+//     seeded stream in map order, so each key gets a different draw on
+//     every run.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "wall-clock read, global math/rand, or map-order-dependent accumulation in a deterministic package",
+	Doc:  "wall-clock read, global math/rand, or map-order-dependent accumulation or draw in a deterministic package",
 	Run:  runDeterminism,
 }
 
@@ -170,6 +173,27 @@ func checkMapRange(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 		return obj, true
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		operands := call.Args
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			operands = append([]ast.Expr{sel.X}, operands...)
+		}
+		for _, e := range operands {
+			if id, ok := e.(*ast.Ident); ok && local[p.Info.Uses[id]] {
+				continue // a generator seeded per key
+			}
+			if isRandPtr(p.Info.TypeOf(e)) {
+				p.Reportf(call.Pos(),
+					"draw from %q inside a map range consumes the random stream in map order; range over sorted keys instead", types.ExprString(e))
+				break
+			}
+		}
+		return true
+	})
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
@@ -244,4 +268,18 @@ func sortedInFunc(p *Pass, fd *ast.FuncDecl, obj types.Object) bool {
 		return !sorted
 	})
 	return sorted
+}
+
+// isRandPtr reports whether t is *rand.Rand from math/rand or math/rand/v2.
+func isRandPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }

@@ -1,0 +1,12 @@
+package lib
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	if OnlyTested() != 3 {
+		t.Fatal("OnlyTested")
+	}
+	if Oracle() != 4 {
+		t.Fatal("Oracle")
+	}
+}

@@ -39,15 +39,6 @@ func numGradCheck(t *testing.T, params []*Value, loss func() *Value, tol float64
 	}
 }
 
-func TestMatMulGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewParam(tensor.RandN(rng, 0.5, 3, 4))
-	b := NewParam(tensor.RandN(rng, 0.5, 4, 2))
-	numGradCheck(t, []*Value{a, b}, func() *Value {
-		return SumSquares(MatMul(a, b))
-	}, 1e-2)
-}
-
 func TestMatMulTGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewParam(tensor.RandN(rng, 0.5, 3, 4))
@@ -57,12 +48,12 @@ func TestMatMulTGrad(t *testing.T) {
 	}, 1e-2)
 }
 
-func TestAddSubMulScaleGrad(t *testing.T) {
+func TestAddSubScaleGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewParam(tensor.RandN(rng, 0.5, 2, 3))
 	b := NewParam(tensor.RandN(rng, 0.5, 2, 3))
 	numGradCheck(t, []*Value{a, b}, func() *Value {
-		return SumSquares(Scale(Mul(Add(a, b), Sub(a, b)), 0.7))
+		return SumSquares(Scale(Add(Add(a, b), Scale(Sub(a, b), 0.3)), 0.7))
 	}, 1e-2)
 }
 
@@ -80,31 +71,6 @@ func TestGELUGrad(t *testing.T) {
 	a := NewParam(tensor.RandN(rng, 1, 2, 5))
 	numGradCheck(t, []*Value{a}, func() *Value {
 		return SumSquares(GELU(a))
-	}, 2e-2)
-}
-
-func TestReLUGrad(t *testing.T) {
-	// Keep inputs away from the kink at 0.
-	a := NewParam(tensor.FromSlice([]float32{-1, -0.5, 0.5, 1}, 2, 2))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(ReLU(a))
-	}, 1e-2)
-}
-
-func TestTanhGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := NewParam(tensor.RandN(rng, 0.8, 2, 3))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(Tanh(a))
-	}, 1e-2)
-}
-
-func TestSoftmaxGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewParam(tensor.RandN(rng, 1, 3, 4))
-	w := NewConst(tensor.RandN(rng, 1, 3, 4))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(Mul(SoftmaxRows(a), w))
 	}, 2e-2)
 }
 
@@ -127,14 +93,6 @@ func TestEmbeddingGrad(t *testing.T) {
 	}, 1e-2)
 }
 
-func TestMeanRowsGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := NewParam(tensor.RandN(rng, 0.5, 4, 3))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(MeanRows(a))
-	}, 1e-2)
-}
-
 func TestPoolRowGroupsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := NewParam(tensor.RandN(rng, 0.5, 6, 3))
@@ -149,15 +107,6 @@ func TestCrossEntropyGrad(t *testing.T) {
 	labels := []int{0, 2, 1, 1}
 	numGradCheck(t, []*Value{logits}, func() *Value {
 		return CrossEntropyLogits(logits, labels)
-	}, 1e-2)
-}
-
-func TestMSEGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := NewParam(tensor.RandN(rng, 1, 3, 3))
-	b := NewParam(tensor.RandN(rng, 1, 3, 3))
-	numGradCheck(t, []*Value{a, b}, func() *Value {
-		return MSE(a, b)
 	}, 1e-2)
 }
 
@@ -202,8 +151,8 @@ func TestBackwardRequiresScalar(t *testing.T) {
 
 func TestGradAccumulatesAcrossUses(t *testing.T) {
 	a := NewParam(tensor.FromSlice([]float32{2}, 1, 1))
-	// loss = a*a + a*a = 2a² → dloss/da = 4a = 8
-	loss := Add(Mul(a, a), Mul(a, a))
+	// loss = a² + a² = 2a² → dloss/da = 4a = 8
+	loss := Add(SumSquares(a), SumSquares(a))
 	loss.Backward()
 	if a.Grad.Data[0] != 8 {
 		t.Fatalf("grad = %v, want 8", a.Grad.Data[0])
@@ -217,31 +166,13 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam(0.1, x)
 	for i := 0; i < 500; i++ {
 		opt.ZeroGrad()
-		MSE(x, target).Backward()
+		SumSquares(Sub(x, target)).Backward()
 		opt.Step()
 	}
 	for i, v := range x.T.Data {
 		if math.Abs(float64(v)-1) > 1e-2 {
 			t.Fatalf("x[%d] = %v, want ≈1", i, v)
 		}
-	}
-}
-
-func TestSGDConvergesOnLinearRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	wTrue := tensor.RandN(rng, 1, 4, 1)
-	X := tensor.RandN(rng, 1, 64, 4)
-	Y := tensor.MatMul(X, wTrue)
-	w := NewParam(tensor.New(4, 1))
-	xv, yv := NewConst(X), NewConst(Y)
-	opt := NewSGD(0.05, w)
-	for i := 0; i < 400; i++ {
-		opt.ZeroGrad()
-		MSE(MatMul(xv, w), yv).Backward()
-		opt.Step()
-	}
-	if tensor.MaxAbsDiff(w.T, wTrue) > 0.02 {
-		t.Fatalf("regression failed to converge, diff %v", tensor.MaxAbsDiff(w.T, wTrue))
 	}
 }
 
@@ -315,61 +246,6 @@ func TestFirstPositionOnlySeesItself(t *testing.T) {
 			t.Fatalf("first position output %v, want v[0] %v", out.T.At(0, j), v.T.At(0, j))
 		}
 	}
-}
-
-func TestSigmoidGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	a := NewParam(tensor.RandN(rng, 1, 2, 4))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(Sigmoid(a))
-	}, 1e-2)
-}
-
-func TestLogSoftmaxGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := NewParam(tensor.RandN(rng, 1, 3, 4))
-	w := NewConst(tensor.RandN(rng, 1, 3, 4))
-	numGradCheck(t, []*Value{a}, func() *Value {
-		return SumSquares(Mul(LogSoftmaxRows(a), w))
-	}, 2e-2)
-}
-
-func TestDropoutInferenceIdentity(t *testing.T) {
-	a := NewParam(tensor.FromSlice([]float32{1, 2, 3}, 1, 3))
-	if Dropout(a, 0.5, nil) != a {
-		t.Fatal("nil rng should be identity")
-	}
-}
-
-func TestDropoutScalesAndMasks(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	a := NewParam(tensor.FromSlice(make([]float32, 1000), 1, 1000))
-	for i := range a.T.Data {
-		a.T.Data[i] = 1
-	}
-	out := Dropout(a, 0.5, rng)
-	var zeros, kept int
-	for _, v := range out.T.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // 1/(1-0.5)
-			kept++
-		default:
-			t.Fatalf("unexpected dropout value %v", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout rate off: %d zeros of 1000", zeros)
-	}
-	// Gradient respects the mask.
-	SumSquares(out).Backward()
-	for i, v := range out.T.Data {
-		if v == 0 && a.Grad.Data[i] != 0 {
-			t.Fatal("gradient leaked through dropped element")
-		}
-	}
-	_ = kept
 }
 
 func TestGatherRowsGrad(t *testing.T) {

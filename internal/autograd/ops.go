@@ -2,25 +2,9 @@ package autograd
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
-
-// MatMul returns a·b with gradients for both operands.
-func MatMul(a, b *Value) *Value {
-	out := node(tensor.MatMul(a.T, b.T), a, b)
-	out.back = func() {
-		if a.requiresGrad {
-			// dA = dC·Bᵀ (MatMulT transposes its second operand).
-			tensor.AddInPlace(a.ensureGrad(), tensor.MatMulT(out.Grad, b.T))
-		}
-		if b.requiresGrad {
-			tensor.AddInPlace(b.ensureGrad(), tensor.MatMul(tensor.Transpose(a.T), out.Grad))
-		}
-	}
-	return out
-}
 
 // MatMulT returns a·bᵀ for a (N×K) and b (M×K). This is the natural layout
 // for linear layers whose weight is stored (outFeatures × inFeatures).
@@ -60,20 +44,6 @@ func Sub(a, b *Value) *Value {
 		}
 		if b.requiresGrad {
 			tensor.AXPY(b.ensureGrad(), -1, out.Grad)
-		}
-	}
-	return out
-}
-
-// Mul returns a ⊙ b elementwise.
-func Mul(a, b *Value) *Value {
-	out := node(tensor.Mul(a.T, b.T), a, b)
-	out.back = func() {
-		if a.requiresGrad {
-			tensor.AddInPlace(a.ensureGrad(), tensor.Mul(out.Grad, b.T))
-		}
-		if b.requiresGrad {
-			tensor.AddInPlace(b.ensureGrad(), tensor.Mul(out.Grad, a.T))
 		}
 	}
 	return out
@@ -130,67 +100,6 @@ func GELU(a *Value) *Value {
 			du := c0 * (1 + 3*c1*xf*xf)
 			d := 0.5*(1+th) + 0.5*xf*(1-th*th)*du
 			g.Data[i] += out.Grad.Data[i] * float32(d)
-		}
-	}
-	return out
-}
-
-// ReLU applies max(0,x) elementwise.
-func ReLU(a *Value) *Value {
-	out := node(tensor.ReLU(a.T), a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i, x := range a.T.Data {
-			if x > 0 {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-	}
-	return out
-}
-
-// Tanh applies tanh elementwise.
-func Tanh(a *Value) *Value {
-	res := a.T.Clone()
-	for i, v := range res.Data {
-		res.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	out := node(res, a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i, y := range out.T.Data {
-			g.Data[i] += out.Grad.Data[i] * (1 - y*y)
-		}
-	}
-	return out
-}
-
-// SoftmaxRows applies softmax along each row of a rank-2 value.
-func SoftmaxRows(a *Value) *Value {
-	out := node(tensor.SoftmaxRows(a.T), a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		n, m := out.T.Dim(0), out.T.Dim(1)
-		for i := 0; i < n; i++ {
-			s := out.T.Data[i*m : (i+1)*m]
-			dy := out.Grad.Data[i*m : (i+1)*m]
-			var dot float32
-			for j := range s {
-				dot += dy[j] * s[j]
-			}
-			gr := g.Data[i*m : (i+1)*m]
-			for j := range s {
-				gr[j] += s[j] * (dy[j] - dot)
-			}
 		}
 	}
 	return out
@@ -285,37 +194,6 @@ func Embedding(table *Value, ids []int) *Value {
 			src := out.Grad.Data[i*d : (i+1)*d]
 			for j, v := range src {
 				dst[j] += v
-			}
-		}
-	}
-	return out
-}
-
-// MeanRows averages the rows of an N×D matrix into a 1×D matrix (used for
-// mean pooling before a classifier head).
-func MeanRows(a *Value) *Value {
-	n, d := a.T.Dim(0), a.T.Dim(1)
-	res := tensor.New(1, d)
-	for i := 0; i < n; i++ {
-		row := a.T.Data[i*d : (i+1)*d]
-		for j, v := range row {
-			res.Data[j] += v
-		}
-	}
-	inv := 1 / float32(n)
-	for j := range res.Data {
-		res.Data[j] *= inv
-	}
-	out := node(res, a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < n; i++ {
-			gr := g.Data[i*d : (i+1)*d]
-			for j := range gr {
-				gr[j] += out.Grad.Data[j] * inv
 			}
 		}
 	}
@@ -457,38 +335,6 @@ func CrossEntropyLogits(logits *Value, labels []int) *Value {
 	return out
 }
 
-// MSE computes mean((a−b)²) as a scalar value with gradients into both
-// operands. It panics on size mismatch.
-func MSE(a, b *Value) *Value {
-	if a.T.Size() != b.T.Size() {
-		panic("autograd: MSE size mismatch")
-	}
-	var loss float64
-	for i := range a.T.Data {
-		d := float64(a.T.Data[i] - b.T.Data[i])
-		loss += d * d
-	}
-	n := float64(a.T.Size())
-	loss /= n
-	out := node(tensor.FromSlice([]float32{float32(loss)}, 1), a, b)
-	out.back = func() {
-		scale := out.Grad.Data[0] * 2 / float32(n)
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i := range a.T.Data {
-				g.Data[i] += scale * (a.T.Data[i] - b.T.Data[i])
-			}
-		}
-		if b.requiresGrad {
-			g := b.ensureGrad()
-			for i := range b.T.Data {
-				g.Data[i] += scale * (b.T.Data[i] - a.T.Data[i])
-			}
-		}
-	}
-	return out
-}
-
 // SumSquares returns Σx² as a scalar value (used for the reconstruction
 // loss ‖AW − ÂW‖² in Eq. 1).
 func SumSquares(a *Value) *Value {
@@ -505,87 +351,6 @@ func SumSquares(a *Value) *Value {
 		scale := out.Grad.Data[0] * 2
 		for i, v := range a.T.Data {
 			g.Data[i] += scale * v
-		}
-	}
-	return out
-}
-
-// Sigmoid applies 1/(1+e^{−x}) elementwise.
-func Sigmoid(a *Value) *Value {
-	res := a.T.Clone()
-	for i, v := range res.Data {
-		res.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	out := node(res, a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i, y := range out.T.Data {
-			g.Data[i] += out.Grad.Data[i] * y * (1 - y)
-		}
-	}
-	return out
-}
-
-// Dropout zeroes each element with probability p during training and
-// scales the survivors by 1/(1−p) (inverted dropout). With rng == nil it
-// is the identity (inference mode). It panics if p ≥ 1.
-func Dropout(a *Value, p float64, rng *rand.Rand) *Value {
-	if rng == nil || p <= 0 {
-		return a
-	}
-	if p >= 1 {
-		panic("autograd: dropout probability must be < 1")
-	}
-	mask := make([]float32, a.T.Size())
-	scale := float32(1 / (1 - p))
-	res := a.T.Clone()
-	for i := range mask {
-		if rng.Float64() >= p {
-			mask[i] = scale
-		}
-		res.Data[i] *= mask[i]
-	}
-	out := node(res, a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i, m := range mask {
-			g.Data[i] += out.Grad.Data[i] * m
-		}
-	}
-	return out
-}
-
-// LogSoftmaxRows applies log-softmax along each row (numerically stable).
-func LogSoftmaxRows(a *Value) *Value {
-	n, m := a.T.Dim(0), a.T.Dim(1)
-	res := tensor.New(n, m)
-	soft := tensor.SoftmaxRows(a.T)
-	for i := range res.Data {
-		res.Data[i] = float32(math.Log(float64(soft.Data[i]) + 1e-20))
-	}
-	out := node(res, a)
-	out.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < n; i++ {
-			dy := out.Grad.Data[i*m : (i+1)*m]
-			s := soft.Data[i*m : (i+1)*m]
-			var sum float32
-			for _, v := range dy {
-				sum += v
-			}
-			gr := g.Data[i*m : (i+1)*m]
-			for j := range gr {
-				gr[j] += dy[j] - s[j]*sum
-			}
 		}
 	}
 	return out

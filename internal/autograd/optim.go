@@ -28,9 +28,6 @@ func NewAdam(lr float64, params ...*Value) *Adam {
 	return a
 }
 
-// Params returns the parameter set being optimized.
-func (a *Adam) Params() []*Value { return a.params }
-
 // ZeroGrad clears all parameter gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
@@ -83,38 +80,6 @@ func (a *Adam) clip() {
 		}
 		for j := range p.Grad.Data {
 			p.Grad.Data[j] *= scale
-		}
-	}
-}
-
-// SGD is a plain stochastic-gradient-descent optimizer, used by tests and
-// the kmeans-refinement path where Adam's state is unnecessary.
-type SGD struct {
-	LR     float64
-	params []*Value
-}
-
-// NewSGD creates an SGD optimizer over params.
-func NewSGD(lr float64, params ...*Value) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// ZeroGrad clears all parameter gradients.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// Step applies one gradient-descent update.
-func (s *SGD) Step() {
-	for _, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		lr := float32(s.LR)
-		for j, g := range p.Grad.Data {
-			p.T.Data[j] -= lr * g
 		}
 	}
 }

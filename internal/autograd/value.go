@@ -35,10 +35,6 @@ func NewConst(t *tensor.Tensor) *Value {
 	return &Value{T: t}
 }
 
-// RequiresGrad reports whether this value participates in gradient
-// computation.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 // node creates an interior graph node whose requiresGrad is inherited from
 // its inputs.
 func node(t *tensor.Tensor, prev ...*Value) *Value {

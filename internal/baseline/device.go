@@ -107,15 +107,6 @@ func (d *Device) CCSTime(n, h, ct int, prec Precision) float64 {
 	return d.roofline(ops, bytes, prec, d.gemmEff(n)*0.4)
 }
 
-// LUTKernelTime models the table-lookup/accumulate kernel on this device:
-// strictly memory-bound gather traffic (paper Fig. 4 places it far left of
-// the CPU ridge point).
-func (d *Device) LUTKernelTime(n, cb, f, lutElemBytes int) float64 {
-	ops := float64(n) * float64(cb) * float64(f)
-	bytes := ops*float64(lutElemBytes) + float64(n)*float64(f)*4 + float64(n)*float64(cb)
-	return d.roofline(ops, bytes, INT8, 1)
-}
-
 // AttentionTime models multi-head self-attention for batch sequences of
 // length seq and width hidden: QKᵀ and PV are 2·B·S²·H MACs each, plus a
 // softmax pass over B·heads·S² scores.

@@ -21,18 +21,6 @@ func TestINT8FasterThanFP32(t *testing.T) {
 	}
 }
 
-func TestLUTKernelMemoryBound(t *testing.T) {
-	// The LUT kernel must land in the memory-bound regime: time tracks
-	// bytes, not ops (paper Fig. 4).
-	d := CPUServer()
-	n, cb, f := 32768, 384, 768
-	tm := d.LUTKernelTime(n, cb, f, 4)
-	bytes := float64(n)*float64(cb)*float64(f)*4 + float64(n)*float64(f)*4 + float64(n)*float64(cb)
-	if got := bytes / d.MemBW; tm < got*0.99 || tm > got*1.01 {
-		t.Fatalf("LUT kernel not bandwidth-limited: %g vs %g", tm, got)
-	}
-}
-
 func TestCCSCheaperThanGEMMItReplaces(t *testing.T) {
 	// CCS (2NHCT MACs, CT=16) must be far cheaper than the original GEMM
 	// (2NHF MACs, F=3072) — that is the whole point of offloading only the

@@ -48,26 +48,6 @@ func NewUPMEMSystem() *System {
 	}
 }
 
-// NewHBMPIMSystem returns the simulated Samsung HBM-PIM platform.
-func NewHBMPIMSystem() *System {
-	return &System{
-		Platform: pim.HBMPIM(), Host: baseline.A2(),
-		HostPrec: baseline.FP16, LUTElemBytes: 2,
-		Space: mapping.SpaceConfig{MaxDivisors: 8},
-		eng:   engine.New(),
-	}
-}
-
-// NewAiMSystem returns the simulated SK-Hynix AiM platform.
-func NewAiMSystem() *System {
-	return &System{
-		Platform: pim.AiM(), Host: baseline.A2(),
-		HostPrec: baseline.FP16, LUTElemBytes: 2,
-		Space: mapping.SpaceConfig{MaxDivisors: 8},
-		eng:   engine.New(),
-	}
-}
-
 // Estimate produces the end-to-end PIM-DL latency report for a model shape.
 func (s *System) Estimate(model nn.Config, batch int, params lutnn.Params) (*engine.Report, error) {
 	return s.eng.EstimatePIMDL(s.config(model, batch, params))

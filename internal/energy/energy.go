@@ -24,11 +24,3 @@ func Estimate(rep *engine.Report, host *baseline.Device, platform *pim.Platform)
 	pimE := platform.PowerWatts * total
 	return hostE + pimE
 }
-
-// EfficiencyVs returns the energy-efficiency ratio of rep against a
-// reference (reference joules ÷ rep joules), the normalization used in
-// Fig. 10-(b).
-func EfficiencyVs(rep *engine.Report, repHost *baseline.Device, repPlat *pim.Platform,
-	ref *engine.Report, refHost *baseline.Device, refPlat *pim.Platform) float64 {
-	return Estimate(ref, refHost, refPlat) / Estimate(rep, repHost, repPlat)
-}

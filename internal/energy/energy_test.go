@@ -28,12 +28,3 @@ func TestPIMEnergySplitsHostBusyIdle(t *testing.T) {
 		t.Fatalf("energy %g, want %g", got, want)
 	}
 }
-
-func TestEfficiencyRatioDirection(t *testing.T) {
-	fast := &engine.Report{Ops: []engine.OpCost{{Time: 1}}, HostTime: 1}
-	slow := &engine.Report{Ops: []engine.OpCost{{Time: 10}}, HostTime: 10}
-	d := baseline.CPUServer()
-	if eff := EfficiencyVs(fast, d, nil, slow, d, nil); eff != 10 {
-		t.Fatalf("efficiency %g, want 10", eff)
-	}
-}

@@ -116,40 +116,3 @@ func (e *Engine) EstimateDecodeLUT(cfg Config, contextLen int) (*DecodeReport, e
 	t *= float64(c.Layers)
 	return &DecodeReport{Config: "PIM-DL-decode/" + cfg.Platform.Name, PerTokenTime: t, Batch: b}, nil
 }
-
-// EstimatePIMDLPipelined models the software-pipelining extension: because
-// CCS for layer ops runs on the host while the LUT reduce runs on the PIM
-// array, consecutive operators can overlap once the pipeline fills. The
-// steady-state latency is then bounded by the busier lane instead of the
-// sum of both. (The paper's engine serializes host and PIM phases; this
-// quantifies what scheduling work would buy — an engine-level analog of
-// the §7 hardware extensions.)
-func (e *Engine) EstimatePIMDLPipelined(cfg Config) (*Report, error) {
-	rep, err := e.EstimatePIMDL(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Fill latency: the first operator's host phase cannot overlap.
-	var firstHost float64
-	for _, op := range rep.Ops {
-		if !op.OnPIM {
-			firstHost = op.Time
-			break
-		}
-	}
-	pipelined := math.Max(rep.HostTime, rep.PIMTime) + firstHost
-	serial := rep.Total()
-	if pipelined > serial {
-		pipelined = serial
-	}
-	// Rescale op times so Total() reflects the pipelined latency while the
-	// breakdown proportions stay meaningful.
-	scale := pipelined / serial
-	out := &Report{Config: rep.Config + "+pipelined", Batch: rep.Batch, SeqLen: rep.SeqLen,
-		HostTime: rep.HostTime, PIMTime: rep.PIMTime}
-	for _, op := range rep.Ops {
-		op.Time *= scale
-		out.Ops = append(out.Ops, op)
-	}
-	return out, nil
-}

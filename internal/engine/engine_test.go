@@ -308,31 +308,6 @@ func TestDecodeScalesWithLayers(t *testing.T) {
 	}
 }
 
-func TestPipelinedFasterThanSerial(t *testing.T) {
-	e := New()
-	cfg := bertBaseCfg()
-	cfg.Model.Layers = 2
-	serial, err := e.EstimatePIMDL(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piped, err := e.EstimatePIMDLPipelined(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if piped.Total() > serial.Total() {
-		t.Fatalf("pipelining made things worse: %g vs %g", piped.Total(), serial.Total())
-	}
-	// Lower bound: cannot beat the busier lane.
-	lane := serial.PIMTime
-	if serial.HostTime > lane {
-		lane = serial.HostTime
-	}
-	if piped.Total() < lane {
-		t.Fatalf("pipelined total %g below busier-lane bound %g", piped.Total(), lane)
-	}
-}
-
 func TestResidencyValidation(t *testing.T) {
 	// BERT-large INT8 tables fit comfortably in 1024 x 64 MB of UPMEM banks.
 	cfg := bertBaseCfg()

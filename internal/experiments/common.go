@@ -118,10 +118,3 @@ func table(header []string, rows [][]string) string {
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
 func sec(x float64) string { return fmt.Sprintf("%.4g s", x) }
-
-// Helpers used by grid tests (small shapes keep sweeps quick).
-func pimUPMEMForGrid() *pim.Platform { return pim.UPMEM() }
-func pimWorkloadForGrid() pim.Workload {
-	return pim.Workload{N: 512, CB: 64, CT: 16, F: 512, ElemBytes: 1}
-}
-func SpaceCfgForGrid() mapping.SpaceConfig { return mapping.SpaceConfig{MaxDivisors: 4} }

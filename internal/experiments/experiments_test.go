@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/nn"
+	"repro/internal/pim"
 )
 
 func TestFig3MatchesPaperEnvelope(t *testing.T) {
@@ -419,3 +421,10 @@ func TestRooflinePlot(t *testing.T) {
 		t.Fatalf("plot has %d lines", len(lines))
 	}
 }
+
+// Helpers used by grid tests (small shapes keep sweeps quick).
+func pimUPMEMForGrid() *pim.Platform { return pim.UPMEM() }
+func pimWorkloadForGrid() pim.Workload {
+	return pim.Workload{N: 512, CB: 64, CT: 16, F: 512, ElemBytes: 1}
+}
+func SpaceCfgForGrid() mapping.SpaceConfig { return mapping.SpaceConfig{MaxDivisors: 4} }

@@ -209,70 +209,3 @@ func nearest(p []float32, cent []float32, k, dim int) (int, float32) {
 	}
 	return best, bd
 }
-
-// Nearest exposes closest-centroid search for external callers (the CCS
-// operator reuses it in tests as a reference).
-func Nearest(p []float32, cent []float32, k, dim int) (int, float32) {
-	return nearest(p, cent, k, dim)
-}
-
-// RunMiniBatch clusters with the mini-batch K-means variant (Sculley):
-// each iteration samples batchSize points, assigns them, and moves their
-// centroids by a per-centroid decaying learning rate. It trades a little
-// inertia for much lower cost on large calibration sets — BERT-scale
-// conversion clusters H/V × layers × 4 codebooks over hundreds of
-// thousands of sub-vectors, where full Lloyd iterations are wasteful.
-// Like Run, it panics if K is non-positive or len(points) ≠ n·dim.
-func RunMiniBatch(points []float32, n, dim int, cfg Config, batchSize int) *Result {
-	if cfg.K <= 0 {
-		panic("kmeans: K must be positive")
-	}
-	if n*dim != len(points) {
-		panic("kmeans: points length does not match n×dim")
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
-	if batchSize <= 0 || batchSize > n {
-		batchSize = n
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Seed from a sample to keep k-means++ cheap.
-	seedN := batchSize * 4
-	if seedN > n {
-		seedN = n
-	}
-	sample := make([]float32, seedN*dim)
-	for i := 0; i < seedN; i++ {
-		j := rng.Intn(n)
-		copy(sample[i*dim:(i+1)*dim], points[j*dim:(j+1)*dim])
-	}
-	cent := seedPlusPlus(sample, seedN, dim, cfg.K, rng)
-
-	counts := make([]int, cfg.K)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		for b := 0; b < batchSize; b++ {
-			i := rng.Intn(n)
-			p := points[i*dim : (i+1)*dim]
-			c, _ := nearest(p, cent, cfg.K, dim)
-			counts[c]++
-			eta := 1 / float32(counts[c])
-			dst := cent[c*dim : (c+1)*dim]
-			for d := range dst {
-				dst[d] += eta * (p[d] - dst[d])
-			}
-		}
-	}
-
-	assign := make([]int, n)
-	var inertia float64
-	for i := 0; i < n; i++ {
-		p := points[i*dim : (i+1)*dim]
-		c, d := nearest(p, cent, cfg.K, dim)
-		assign[i] = c
-		inertia += float64(d)
-	}
-	return &Result{Centroids: cent, Assign: assign, Inertia: inertia,
-		Iterations: cfg.MaxIter, K: cfg.K, Dim: dim}
-}

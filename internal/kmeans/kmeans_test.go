@@ -71,7 +71,7 @@ func TestAssignMatchesNearestCentroid(t *testing.T) {
 		}
 		res := Run(points, n, dim, Config{K: k, Seed: seed})
 		for i := 0; i < n; i++ {
-			want, _ := Nearest(points[i*dim:(i+1)*dim], res.Centroids, k, dim)
+			want, _ := nearest(points[i*dim:(i+1)*dim], res.Centroids, k, dim)
 			if res.Assign[i] != want {
 				return false
 			}
@@ -142,41 +142,5 @@ func TestRestartsImproveOrMatch(t *testing.T) {
 	many := Run(points, 150, 3, Config{K: 6, Seed: 9, Restarts: 8})
 	if many.Inertia > one.Inertia+1e-6 {
 		t.Fatalf("restarts made inertia worse: %g vs %g", many.Inertia, one.Inertia)
-	}
-}
-
-func TestMiniBatchRecoversBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	points, labels := gaussianBlobs(rng, 2000, 4, 3, 10, 0.1)
-	res := RunMiniBatch(points, 2000, 4, Config{K: 3, Seed: 11, MaxIter: 60}, 128)
-	rep := map[int]int{}
-	for i, l := range labels {
-		if r, ok := rep[l]; !ok {
-			rep[l] = res.Assign[i]
-		} else if r != res.Assign[i] {
-			t.Fatalf("mini-batch failed to separate blobs at point %d", i)
-		}
-	}
-}
-
-func TestMiniBatchInertiaNearFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	points, _ := gaussianBlobs(rng, 1500, 3, 5, 6, 0.5)
-	full := Run(points, 1500, 3, Config{K: 5, Seed: 13, Restarts: 2})
-	mb := RunMiniBatch(points, 1500, 3, Config{K: 5, Seed: 13, MaxIter: 80}, 128)
-	if mb.Inertia > full.Inertia*1.5 {
-		t.Fatalf("mini-batch inertia %g too far above full %g", mb.Inertia, full.Inertia)
-	}
-}
-
-func TestMiniBatchAssignConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	points, _ := gaussianBlobs(rng, 300, 2, 4, 5, 0.4)
-	res := RunMiniBatch(points, 300, 2, Config{K: 4, Seed: 15}, 64)
-	for i := 0; i < 300; i++ {
-		want, _ := Nearest(points[i*2:(i+1)*2], res.Centroids, 4, 2)
-		if res.Assign[i] != want {
-			t.Fatal("assignment inconsistent with centroids")
-		}
 	}
 }

@@ -62,13 +62,6 @@ func (c *Codebooks) Centroid(cb, ct int) []float32 {
 	return c.Data[off : off+c.V]
 }
 
-// Clone returns a deep copy.
-func (c *Codebooks) Clone() *Codebooks {
-	n := NewCodebooks(c.CB, c.CT, c.V)
-	copy(n.Data, c.Data)
-	return n
-}
-
 // BuildCodebooks derives codebooks from a calibration activation matrix
 // acts (N×H) by clustering the 1×V sub-vectors of each column position
 // (paper §3.1 step ❶). Column cb clusters the sub-vectors
@@ -175,14 +168,6 @@ func (c *Codebooks) Approximate(acts *tensor.Tensor, idx []uint8) *tensor.Tensor
 		}
 	}
 	return out
-}
-
-// SearchParallel is retained for API compatibility: Search itself now
-// fans out on the shared worker pool, so this is an alias. Results are
-// identical to Search, including the panic on a mismatched activation
-// width.
-func (c *Codebooks) SearchParallel(acts *tensor.Tensor) []uint8 {
-	return c.Search(acts)
 }
 
 // ApproximationError returns ‖A−Â‖_F / ‖A‖_F for the given activations.

@@ -187,8 +187,3 @@ func (e *HashEncoder) ApproximationError(acts *tensor.Tensor) float64 {
 	idx := e.Encode(acts)
 	return tensor.RelativeError(e.Protos.Approximate(acts, idx), acts)
 }
-
-// BuildTable constructs the lookup table from the leaf prototypes.
-func (e *HashEncoder) BuildTable(w *tensor.Tensor) (*LUT, error) {
-	return BuildLUT(e.Protos, w)
-}

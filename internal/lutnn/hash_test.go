@@ -137,7 +137,7 @@ func TestHashTableLookupConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := tensor.RandN(rng, 1, f, h)
-	tbl, err := e.BuildTable(w)
+	tbl, err := BuildLUT(e.Protos, w)
 	if err != nil {
 		t.Fatal(err)
 	}

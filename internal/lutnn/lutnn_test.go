@@ -314,103 +314,6 @@ func TestConvertRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestHalfLUTCloseToFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	const n, h, f = 64, 16, 32
-	acts := randActs(rng, n, h)
-	w := tensor.RandN(rng, 1, f, h)
-	layer, err := Convert(w, nil, acts, Params{V: 2, CT: 16}, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := layer.Forward(acts)
-	idx := layer.Codebooks.Search(acts)
-	for _, bf := range []bool{false, true} {
-		half := layer.Table.QuantizeHalf(bf)
-		if half.SizeBytes() != len(layer.Table.Data)*2 {
-			t.Fatal("bad half size")
-		}
-		got := half.Lookup(idx, n)
-		tol := 0.01 // FP16: 11-bit significand
-		if bf {
-			tol = 0.05 // BF16: 8-bit significand
-		}
-		if e := tensor.RelativeError(got, fl); e > tol {
-			t.Fatalf("bf=%v: half-precision lookup deviates %g", bf, e)
-		}
-	}
-}
-
-func TestHalfLUTFP16MoreAccurateThanBF16(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const n, h, f = 32, 8, 16
-	acts := randActs(rng, n, h)
-	w := tensor.RandN(rng, 1, f, h)
-	layer, err := Convert(w, nil, acts, Params{V: 2, CT: 8}, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := layer.Codebooks.Search(acts)
-	ref := layer.Table.Lookup(idx, n)
-	eFP := tensor.RelativeError(layer.Table.QuantizeHalf(false).Lookup(idx, n), ref)
-	eBF := tensor.RelativeError(layer.Table.QuantizeHalf(true).Lookup(idx, n), ref)
-	if eFP >= eBF {
-		t.Fatalf("FP16 error %g should be below BF16 error %g", eFP, eBF)
-	}
-}
-
-func TestPerCBQuantizationBeatsPerTensor(t *testing.T) {
-	// Scale the weight columns very unevenly so per-codebook scales have
-	// something to win.
-	rng := rand.New(rand.NewSource(30))
-	const n, h, f = 64, 16, 32
-	acts := randActs(rng, n, h)
-	w := tensor.RandN(rng, 1, f, h)
-	for fi := 0; fi < f; fi++ {
-		row := w.Row(fi)
-		for j := range row {
-			if j < h/2 {
-				row[j] *= 50 // first codebooks produce huge partial sums
-			}
-		}
-	}
-	layer, err := Convert(w, nil, acts, Params{V: 2, CT: 16}, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := layer.Codebooks.Search(acts)
-	ref := layer.Table.Lookup(idx, n)
-	ePerTensor := tensor.RelativeError(layer.Table.Quantize().Lookup(idx, n), ref)
-	ePerCB := tensor.RelativeError(layer.Table.QuantizePerCB().Lookup(idx, n), ref)
-	t.Logf("per-tensor err %g, per-codebook err %g", ePerTensor, ePerCB)
-	if ePerCB >= ePerTensor {
-		t.Fatal("per-codebook scales should beat the shared scale on skewed tables")
-	}
-}
-
-func TestPerCBQuantizationRoundTripUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const n, h, f = 32, 8, 16
-	acts := randActs(rng, n, h)
-	w := tensor.RandN(rng, 1, f, h)
-	layer, err := Convert(w, nil, acts, Params{V: 2, CT: 8}, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := layer.Codebooks.Search(acts)
-	ref := layer.Table.Lookup(idx, n)
-	q := layer.Table.QuantizePerCB()
-	if len(q.Scales) != layer.Table.CB {
-		t.Fatal("one scale per codebook expected")
-	}
-	if e := tensor.RelativeError(q.Lookup(idx, n), ref); e > 0.02 {
-		t.Fatalf("per-CB quantization error %g too high", e)
-	}
-	if q.SizeBytes() != len(layer.Table.Data)+4*layer.Table.CB {
-		t.Fatal("size accounting wrong")
-	}
-}
-
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	acts := randActs(rng, 512, 32)
@@ -418,8 +321,8 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := c.Search(acts)
-	parallel := c.SearchParallel(acts)
+	serial := c.searchSerial(acts)
+	parallel := c.Search(acts)
 	if len(serial) != len(parallel) {
 		t.Fatal("length mismatch")
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSearchParallelConcurrentCallers runs the CCS fan-out from many
-// concurrent callers over shared codebooks. SearchParallel's workers write
+// concurrent callers over shared codebooks. Search's workers write
 // disjoint idx[lo·CB : hi·CB] ranges, so every concurrent call must
-// reproduce serial Search exactly; under -race this doubles as the
-// regression test for that partitioning.
+// reproduce a single caller's Search exactly; under -race this doubles as
+// the regression test for that partitioning.
 func TestSearchParallelConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	acts := tensor.RandN(rng, 1, 256, 32)
@@ -29,8 +29,8 @@ func TestSearchParallelConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 4; it++ {
-				if got := cbs.SearchParallel(acts); !bytes.Equal(got, want) {
-					t.Error("concurrent SearchParallel diverged from Search")
+				if got := cbs.Search(acts); !bytes.Equal(got, want) {
+					t.Error("concurrent Search diverged from the single-caller result")
 					return
 				}
 			}

@@ -60,6 +60,8 @@ func init() {
 func Enabled() bool { return enabledFlag.Load() }
 
 // SetEnabled turns recording on or off at runtime (tests, benchmarks).
+//
+//pimdl:lint-ignore deadexport tests switch recording off to cover the disabled path; binaries use PIMDL_METRICS
 func SetEnabled(on bool) { enabledFlag.Store(on) }
 
 // numShards is the shard count of sharded counters; a power of two so
@@ -367,20 +369,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced upper bounds starting at start
-// with the given step. It panics if step <= 0 or n < 1 (programmer-error
-// contract).
-func LinearBuckets(start, step float64, n int) []float64 {
-	if step <= 0 || n < 1 {
-		panic(fmt.Sprintf("metrics: LinearBuckets(%g, %g, %d) out of range", start, step, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
 	}
 	return out
 }

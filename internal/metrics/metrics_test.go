@@ -281,10 +281,4 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets %v", e)
 		}
 	}
-	l := LinearBuckets(0.5, 0.5, 3)
-	for i, want := range []float64{0.5, 1, 1.5} {
-		if l[i] != want {
-			t.Fatalf("LinearBuckets %v", l)
-		}
-	}
 }

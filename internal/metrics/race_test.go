@@ -100,7 +100,7 @@ func TestConcurrentHammer(t *testing.T) {
 func TestConcurrentObserveAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("pimdl_test_live_total", "live counter")
-	h := r.NewHistogram("pimdl_test_live_hist", "live histogram", LinearBuckets(10, 10, 8))
+	h := r.NewHistogram("pimdl_test_live_hist", "live histogram", []float64{10, 20, 30, 40, 50, 60, 70, 80})
 
 	stop := make(chan struct{})
 	done := make(chan struct{})

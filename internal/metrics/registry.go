@@ -266,17 +266,6 @@ func (f *FloatCounterFamily) With(value string) *FloatCounter {
 	return c
 }
 
-// Sum returns the total across all children.
-func (f *FloatCounterFamily) Sum() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var t float64
-	for _, v := range f.sortedValuesLocked() {
-		t += f.children[v].Value()
-	}
-	return t
-}
-
 func (f *FloatCounterFamily) sortedValuesLocked() []string {
 	vals := make([]string, 0, len(f.children))
 	for v := range f.children {

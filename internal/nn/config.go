@@ -62,9 +62,6 @@ var (
 	// BERTLarge is the BERT-large shape: hidden 1024, 24 layers, 16 heads.
 	BERTLarge = Config{Name: "Bert-Large", Kind: TokenInput, Vocab: 30522,
 		Hidden: 1024, Layers: 24, Heads: 16, FFN: 4096, SeqLen: 512, Classes: 2}
-	// ViTBase is the ViT-base shape: hidden 768, 12 layers.
-	ViTBase = Config{Name: "ViT-Base", Kind: PatchInput, PatchDim: 588,
-		Hidden: 768, Layers: 12, Heads: 12, FFN: 3072, SeqLen: 197, Classes: 10}
 	// ViTHuge is the ViT-huge shape: hidden 1280, 32 layers. The paper pads
 	// its sequence length 257 to 264 to partition evenly across PEs.
 	ViTHuge = Config{Name: "ViT-Huge", Kind: PatchInput, PatchDim: 588,
@@ -73,6 +70,8 @@ var (
 
 // Tiny returns a small config usable in unit tests and examples: it keeps
 // the full architecture (attention, FFN, residuals, layernorm) at toy size.
+//
+//pimdl:lint-ignore deadexport toy-size model config the nn and core tests build on
 func Tiny(kind InputKind, seqLen, classes int) Config {
 	c := Config{Name: "Tiny", Kind: kind, Hidden: 16, Layers: 2, Heads: 2,
 		FFN: 32, SeqLen: seqLen, Classes: classes}

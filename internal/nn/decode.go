@@ -112,12 +112,6 @@ func NewDecodeSession(m *Model, prompt []int) (*DecodeSession, error) {
 	return s, nil
 }
 
-// Len returns the number of tokens fed so far (prompt included).
-func (s *DecodeSession) Len() int { return len(s.seq) }
-
-// Model returns the session's model.
-func (s *DecodeSession) Model() *Model { return s.m }
-
 // Logits returns the next-token logits for the current sequence. The
 // slice aliases session scratch: read it before the next Feed.
 func (s *DecodeSession) Logits() []float32 { return s.logits }
@@ -357,8 +351,8 @@ func (m *Model) GenerateCached(prompt []int, steps int, temperature float64, rng
 // DecodeBatch steps B concurrent sessions together, stacking their
 // single-row activations into one N=B tensor per linear operator so the
 // batch kernels (and the shared worker pool under them) amortize table
-// and weight streaming across sequences — the continuous batcher in
-// serving/live supplies the batch. Per-sequence state (K/V arenas,
+// and weight streaming across sequences; the caller chooses the members.
+// Per-sequence state (K/V arenas,
 // attention, logits) stays per-session; every stacked operator is
 // row-local, so batched results are bit-identical to stepping each
 // session alone.
@@ -366,9 +360,9 @@ type DecodeBatch struct {
 	m        *Model
 	sessions []*DecodeSession
 
-	// traceID (0 = none) is the exemplar identity the next batched step
-	// stamps onto the pimdl_decode_batch_rows histogram — the continuous
-	// batcher sets it to a sampled member's trace before each Feed.
+	// traceID is the exemplar identity a batched step stamps onto the
+	// pimdl_decode_batch_rows histogram. Nothing sets it any more, so it
+	// is always 0 (no exemplar); it goes with the next change to Feed.
 	traceID uint64
 
 	// Stacked scratch, grown to the high-water batch size.
@@ -378,14 +372,7 @@ type DecodeBatch struct {
 // NewDecodeBatch creates an empty batch for the model.
 func NewDecodeBatch(m *Model) *DecodeBatch { return &DecodeBatch{m: m} }
 
-// SetTraceID sets the exemplar trace identity stamped onto the
-// batched-step histogram by subsequent Feed calls (0 clears it).
-func (db *DecodeBatch) SetTraceID(id uint64) { db.traceID = id }
-
-// Sessions returns the sessions currently in the batch.
-func (db *DecodeBatch) Sessions() []*DecodeSession { return db.sessions }
-
-// SetSessions replaces the batch membership (the continuous batcher
+// SetSessions replaces the batch membership (a continuous batcher
 // re-forms the batch as requests join and finish). All sessions must
 // share the batch's model.
 func (db *DecodeBatch) SetSessions(ss []*DecodeSession) error {
@@ -396,15 +383,6 @@ func (db *DecodeBatch) SetSessions(ss []*DecodeSession) error {
 	}
 	db.sessions = db.sessions[:0]
 	db.sessions = append(db.sessions, ss...)
-	return nil
-}
-
-// Add appends one session to the batch.
-func (db *DecodeBatch) Add(s *DecodeSession) error {
-	if s.m != db.m {
-		return fmt.Errorf("nn: decode batch requires sessions of one model")
-	}
-	db.sessions = append(db.sessions, s)
 	return nil
 }
 

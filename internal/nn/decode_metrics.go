@@ -55,7 +55,7 @@ func decodeRecordBatch(rows int, traceID uint64) {
 		return
 	}
 	decodeBatchSteps.Inc()
-	// traceID (0 = none) links the bucket back to a kept request trace
-	// of the batcher driving this step.
+	// traceID (0 = none) would link the bucket back to a kept request
+	// trace; DecodeBatch always passes 0 (see DecodeBatch.traceID).
 	decodeBatchRows.ObserveExemplar(float64(rows), traceID)
 }

@@ -171,9 +171,9 @@ func TestDecodeBatchMatchesIndividual(t *testing.T) {
 					t.Fatal(err)
 				}
 				sessions[i] = s
-				if err := db.Add(s); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := db.SetSessions(sessions); err != nil {
+				t.Fatal(err)
 			}
 			toks := make([]int, len(sessions))
 			got := make([][]int, len(sessions))
@@ -214,14 +214,16 @@ func TestDecodeMetricsSeries(t *testing.T) {
 	}
 	// 1+2 prompt rows prefilled, then one stacked step of 2 rows.
 	db := NewDecodeBatch(m)
+	var sessions []*DecodeSession
 	for _, p := range [][]int{{4}, {5, 6}} {
 		s, err := NewDecodeSession(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Add(s); err != nil {
-			t.Fatal(err)
-		}
+		sessions = append(sessions, s)
+	}
+	if err := db.SetSessions(sessions); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Feed([]int{7, 8}); err != nil {
 		t.Fatal(err)
@@ -274,7 +276,7 @@ func TestDecodeSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Add(so); err == nil {
+	if err := db.SetSessions([]*DecodeSession{so}); err == nil {
 		t.Fatal("foreign-model session accepted")
 	}
 	if err := db.Feed([]int{0}); err == nil {

@@ -7,19 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// LMHead turns the model into a token predictor: logits over the
-// vocabulary for the LAST position of each sequence, computed by
-// projecting through the (tied) embedding table. Requires TokenInput
-// (it panics otherwise).
-func (m *Model) LMHead(b *Batch) *tensor.Tensor {
-	return m.LMHeadAt(b, m.Config.SeqLen-1)
-}
-
-// LMHeadAt is LMHead at an arbitrary window position: logits for row pos
-// of each sequence. Generation with a partially filled window reads the
-// last REAL position instead of the padded tail — under the causal mask
-// the padding rows after pos are invisible to it, so the logits equal
-// those of a full window that happened to end at pos. It panics unless
+// LMHeadAt turns the model into a token predictor: logits over the
+// vocabulary for row pos of each sequence, computed by projecting through
+// the (tied) embedding table. Generation with a partially filled window
+// reads the last REAL position instead of the padded tail — under the
+// causal mask the padding rows after pos are invisible to it, so the
+// logits equal those of a full window that happened to end at pos. It panics unless
 // the model is TokenInput and 0 ≤ pos < SeqLen.
 func (m *Model) LMHeadAt(b *Batch, pos int) *tensor.Tensor {
 	if m.Config.Kind != TokenInput {

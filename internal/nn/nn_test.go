@@ -406,7 +406,7 @@ func TestLinearRoleShapes(t *testing.T) {
 }
 
 func TestPresetConfigsValid(t *testing.T) {
-	for _, c := range []Config{BERTBase, BERTLarge, ViTBase, ViTHuge} {
+	for _, c := range []Config{BERTBase, BERTLarge, ViTHuge} {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -418,6 +418,8 @@ func TestGradientsFlowThroughWholeModel(t *testing.T) {
 	m := NewModel(c, 33)
 	rng := rand.New(rand.NewSource(34))
 	b := synthTokenBatches(rng, c, 1, 2)[0]
+	opt := autograd.NewAdam(0.1, m.Params()...)
+	opt.ZeroGrad()
 	loss := m.Loss(b)
 	loss.Backward()
 	for i, p := range m.Params() {
@@ -425,7 +427,6 @@ func TestGradientsFlowThroughWholeModel(t *testing.T) {
 			t.Fatalf("param %d got no gradient", i)
 		}
 	}
-	_ = autograd.NewSGD(0.1) // keep import
 }
 
 func TestCausalModelTrains(t *testing.T) {
@@ -507,7 +508,7 @@ func TestLMHeadShape(t *testing.T) {
 	c.Causal = true
 	m := NewModel(c, 55)
 	b := &Batch{TokenIDs: make([]int, 2*c.SeqLen), BatchN: 2}
-	logits := m.LMHead(b)
+	logits := m.LMHeadAt(b, c.SeqLen-1)
 	if logits.Dim(0) != 2 || logits.Dim(1) != c.Vocab {
 		t.Fatalf("LM head shape %v", logits.Shape())
 	}

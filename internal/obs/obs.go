@@ -66,6 +66,8 @@ func init() {
 func Enabled() bool { return enabledFlag.Load() }
 
 // SetEnabled turns span recording on or off at runtime (tests).
+//
+//pimdl:lint-ignore deadexport tests switch spans off to cover the disabled path; binaries use PIMDL_TRACE
 func SetEnabled(on bool) { enabledFlag.Store(on) }
 
 // Phase classifies a span's time for the attribution report. Phase
@@ -97,10 +99,6 @@ const (
 	// index broadcast and output gather shares of a PIM attempt.
 	PhaseBroadcast Phase = "broadcast"
 	PhaseGather    Phase = "gather"
-	// PhaseDecodePrefill / PhaseDecodeStep: the decode fastpath's
-	// prompt prefill and per-token stepping.
-	PhaseDecodePrefill Phase = "decode_prefill"
-	PhaseDecodeStep    Phase = "decode_step"
 	// PhaseOther is the residual the report assigns to lifetime not
 	// covered by any phased span (scheduler gaps, clock skew between
 	// pickup and dispatch stamps). Spans never carry it directly.
@@ -128,13 +126,9 @@ type Attr struct {
 	B    bool
 }
 
-// Str / Int / Float / Bool construct typed attributes.
+// Str / Int construct typed attributes.
 func Str(k, v string) Attr       { return Attr{Key: k, Kind: AttrString, S: v} }
 func Int(k string, v int64) Attr { return Attr{Key: k, Kind: AttrInt, I: v} }
-func Float(k string, v float64) Attr {
-	return Attr{Key: k, Kind: AttrFloat, F: v}
-}
-func Bool(k string, v bool) Attr { return Attr{Key: k, Kind: AttrBool, B: v} }
 
 // Value renders the attribute value as a string (exports, tables).
 func (a Attr) Value() string {
@@ -243,13 +237,6 @@ func (t *Trace) Outcome() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.outcome
-}
-
-// End returns the terminal timestamp (0 while in flight).
-func (t *Trace) End() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.end
 }
 
 // Critical reports whether the trace was finished as critical.
@@ -372,20 +359,6 @@ func (tc *Tracer) sampleKeep(traceID uint64) bool {
 	// 53 uniform bits → [0, 1).
 	u := float64(splitmix64(traceID)>>11) / float64(1<<53)
 	return u < tc.cfg.SampleRate
-}
-
-// WouldSample reports whether an ordinary (non-critical) trace with
-// this ID passes the probabilistic sampling gate. Callers that must
-// pick an exemplar before a trace finishes (the decode batcher stamps
-// the batched-step histogram mid-run) use it to avoid exposing IDs the
-// sampler is guaranteed to drop; ring eviction can still orphan such an
-// exemplar on a long-enough run — bounded memory wins over perfect
-// linkage.
-func (tc *Tracer) WouldSample(traceID uint64) bool {
-	if tc == nil {
-		return false
-	}
-	return tc.sampleKeep(traceID)
 }
 
 // Finish seals the trace with its terminal outcome at end, closes the

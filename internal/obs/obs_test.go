@@ -143,8 +143,8 @@ func TestSpanLifecycleAndFinish(t *testing.T) {
 	if _, ok := map[SpanID]bool{att: true}[p]; ok {
 		t.Fatal("span IDs must be distinct")
 	}
-	if tr.Outcome() != "served" || tr.End() != 11.0 || tr.Critical() {
-		t.Errorf("terminal state = (%q, %g, %v)", tr.Outcome(), tr.End(), tr.Critical())
+	if tr.Outcome() != "served" || tr.end != 11.0 || tr.Critical() {
+		t.Errorf("terminal state = (%q, %g, %v)", tr.Outcome(), tr.end, tr.Critical())
 	}
 	if got := tr.Latency(); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("Latency = %g, want 1", got)

@@ -232,11 +232,6 @@ func SimTiming(p *Platform, w Workload, m Mapping) Timing {
 	return timing(p, w, m, countEvents(p, w, m))
 }
 
-// SimEvents exposes the executor's per-PE event counts for mapping m.
-func SimEvents(p *Platform, w Workload, m Mapping) Events {
-	return countEvents(p, w, m)
-}
-
 // ExecuteLUT runs the LUT operator functionally across simulated PEs with
 // FP32 tables and returns the output plus modelled timing. idx is the
 // N×CB index matrix from CCS.
@@ -294,39 +289,6 @@ func ExecuteLUTInt8WithFaults(p *Platform, w Workload, m Mapping, idx []uint8, t
 			dst := out.Row(r)[t.colLo:t.colHi]
 			for f, v := range acc {
 				dst[f] = float32(v) * tbl.Scale
-			}
-		}
-	})
-}
-
-// ExecuteLUTHalf runs the operator with 16-bit tables (FP16 on HBM-PIM,
-// BF16 on AiM), accumulating in float32 as the platforms' wide MAC
-// accumulators do.
-func ExecuteLUTHalf(p *Platform, w Workload, m Mapping, idx []uint8, tbl *lutnn.HalfLUT) (*Result, error) {
-	return ExecuteLUTHalfWithFaults(p, w, m, idx, tbl, FaultPlan{})
-}
-
-// ExecuteLUTHalfWithFaults is ExecuteLUTHalf under a fault plan (see
-// ExecuteLUTWithFaults).
-func ExecuteLUTHalfWithFaults(p *Platform, w Workload, m Mapping, idx []uint8, tbl *lutnn.HalfLUT, plan FaultPlan) (*Result, error) {
-	if err := checkShapes(w, m, idx, tbl.CB, tbl.CT, tbl.F); err != nil {
-		return nil, err
-	}
-	return executeTiles(p, w, m, idx, plan, func(t tile, idxTile []uint8, out *tensor.Tensor) {
-		for r := t.rowLo; r < t.rowHi; r++ {
-			dst := out.Row(r)[t.colLo:t.colHi]
-			row := idxTile[(r-t.rowLo)*w.CB:]
-			for cb := 0; cb < w.CB; cb++ {
-				src := tbl.Slice(cb, int(row[cb]))[t.colLo:t.colHi]
-				if tbl.BF {
-					for f, v := range src {
-						dst[f] += tensor.BFloat16(v).Float32()
-					}
-				} else {
-					for f, v := range src {
-						dst[f] += tensor.Float16(v).Float32()
-					}
-				}
 			}
 		}
 	})

@@ -60,31 +60,6 @@ func (c HotCache) HitRate(hist [][]int64) float64 {
 	return float64(hit) / float64(total)
 }
 
-// IndexHistogram tallies index frequencies from an N×CB index matrix. It
-// panics if cb or ct is non-positive, len(idx) is not a multiple of cb,
-// or an index value is out of range for ct — a histogram silently built
-// from a mis-shaped matrix would mis-rank the hot entries.
-func IndexHistogram(idx []uint8, cb, ct int) [][]int64 {
-	if cb <= 0 || ct <= 0 || len(idx)%cb != 0 {
-		panic(fmt.Sprintf("pim: IndexHistogram shape (len=%d, cb=%d, ct=%d)", len(idx), cb, ct))
-	}
-	hist := make([][]int64, cb)
-	for i := range hist {
-		hist[i] = make([]int64, ct)
-	}
-	n := len(idx) / cb
-	for i := 0; i < n; i++ {
-		for c := 0; c < cb; c++ {
-			v := int(idx[i*cb+c])
-			if v >= ct {
-				panic(fmt.Sprintf("pim: index %d out of range for CT=%d", v, ct))
-			}
-			hist[c][v]++
-		}
-	}
-	return hist
-}
-
 // ZipfIndexHistogram builds a synthetic skewed histogram: within each
 // codebook the k-th most popular centroid receives weight k^(−s). This is
 // the "hot items" distribution the paper's §7 discussion anticipates. It

@@ -62,23 +62,6 @@ func TestHotCacheEmptyHistogram(t *testing.T) {
 	}
 }
 
-func TestIndexHistogramCounts(t *testing.T) {
-	idx := []uint8{0, 1, 0, 3, 2, 1} // 3 rows × 2 codebooks
-	hist := IndexHistogram(idx, 2, 4)
-	if hist[0][0] != 2 || hist[0][2] != 1 || hist[1][1] != 2 || hist[1][3] != 1 {
-		t.Fatalf("bad histogram %v", hist)
-	}
-	var total int64
-	for _, row := range hist {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != 6 {
-		t.Fatalf("total %d, want 6", total)
-	}
-}
-
 func TestCachedKernelFasterWithHits(t *testing.T) {
 	p := UPMEM()
 	w := Workload{N: 1024, CB: 128, CT: 16, F: 1024, ElemBytes: 1}

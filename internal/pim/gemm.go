@@ -2,8 +2,6 @@ package pim
 
 import (
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // GEMMWorkload is one linear layer executed as a plain matrix multiply on
@@ -75,12 +73,6 @@ func GEMMOnPIM(p *Platform, w GEMMWorkload) Timing {
 		t.KernelRed = math.Max(stream, compute)
 	}
 	return t
-}
-
-// ExecuteGEMMOnPIM additionally produces the functional result (exact
-// matmul A·Wᵀ) so end-to-end baselines can verify outputs.
-func ExecuteGEMMOnPIM(p *Platform, w GEMMWorkload, a, wt *tensor.Tensor) (*tensor.Tensor, Timing) {
-	return tensor.MatMulT(a, wt), GEMMOnPIM(p, w)
 }
 
 // ElementwiseOnPIM models a memory-bound elementwise operator (ReLU, add,

@@ -32,12 +32,6 @@ type Workload struct {
 	ElemBytes    int
 }
 
-// IndexBytes returns the size of the full index matrix.
-func (w Workload) IndexBytes() int { return w.N * w.CB }
-
-// LUTBytes returns the size of the full lookup table.
-func (w Workload) LUTBytes() int { return w.CB * w.CT * w.F * w.ElemBytes }
-
 // OutputBytes returns the size of the output matrix (4-byte accumulators).
 func (w Workload) OutputBytes() int { return w.N * w.F * 4 }
 

@@ -375,9 +375,6 @@ func TestPlatformPresetsSane(t *testing.T) {
 		if p.BroadcastBW < p.ScatterBW {
 			t.Fatalf("%s: broadcast should be fastest", p.Name)
 		}
-		if p.PeakGOPS() <= 0 {
-			t.Fatalf("%s: bad peak", p.Name)
-		}
 	}
 	// Cross-platform ordering from Table 1: AiM > HBM-PIM > UPMEM in
 	// aggregate internal bandwidth.
@@ -387,23 +384,5 @@ func TestPlatformPresetsSane(t *testing.T) {
 	aBW := a.LocalBWPerPE * float64(a.NumPE)
 	if !(uBW < hBW && hBW < aBW) {
 		t.Fatalf("bandwidth ordering wrong: %g %g %g", uBW, hBW, aBW)
-	}
-}
-
-func TestExecuteLUTHalfMatchesReference(t *testing.T) {
-	w, idx, tbl, _ := testKernel(7, 32, 16, 24, 2, 8)
-	w.ElemBytes = 2
-	p := HBMPIM()
-	m := defaultMapping(w, 8, 8)
-	for _, bf := range []bool{false, true} {
-		half := tbl.QuantizeHalf(bf)
-		res, err := ExecuteLUTHalf(p, w, m, idx, half)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := half.Lookup(idx, w.N)
-		if !tensor.Equal(res.Output, want) {
-			t.Fatalf("bf=%v: distributed half-precision result differs", bf)
-		}
 	}
 }

@@ -126,12 +126,6 @@ type Platform struct {
 	PowerWatts float64
 }
 
-// PeakGOPS returns the aggregate arithmetic peak in billions of ops/s,
-// assuming one reduce-class op per cycle per PE.
-func (p *Platform) PeakGOPS() float64 {
-	return float64(p.NumPE) * p.FreqHz / p.ReduceCycles / 1e9
-}
-
 // HostTransferTime returns the time to move bytes in the given mode,
 // including the fixed software latency.
 func (p *Platform) HostTransferTime(bytes float64, mode TransferMode) float64 {

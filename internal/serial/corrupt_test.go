@@ -24,7 +24,11 @@ func validLayerBytes(t *testing.T) []byte {
 	}
 	layer.EnableINT8()
 	var buf bytes.Buffer
-	if err := WriteLayer(&buf, layer); err != nil {
+	enc := NewEncoder(&buf)
+	if err := enc.Layer(layer); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,11 +44,11 @@ func TestReadLayerTruncated(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("ReadLayer panicked on %d-byte prefix: %v", n, r)
+					t.Fatalf("Decoder.Layer panicked on %d-byte prefix: %v", n, r)
 				}
 			}()
-			if _, err := ReadLayer(bytes.NewReader(data[:n])); err == nil {
-				t.Fatalf("ReadLayer accepted a %d-byte prefix of a %d-byte file", n, len(data))
+			if _, err := NewDecoder(bytes.NewReader(data[:n])).Layer(); err == nil {
+				t.Fatalf("Decoder.Layer accepted a %d-byte prefix of a %d-byte file", n, len(data))
 			}
 		}()
 	}
@@ -66,10 +70,10 @@ func TestReadLayerBitFlips(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("ReadLayer panicked with byte %d flipped: %v", i, r)
+					t.Fatalf("Decoder.Layer panicked with byte %d flipped: %v", i, r)
 				}
 			}()
-			ly, err := ReadLayer(bytes.NewReader(corrupted))
+			ly, err := NewDecoder(bytes.NewReader(corrupted)).Layer()
 			if err != nil {
 				return
 			}
@@ -96,39 +100,57 @@ func TestOverflowingDims(t *testing.T) {
 		return &b
 	}
 	huge := uint32(1 << 27) // < maxDim each; product overflows
-
-	b := header(magicCodebooks)
-	u32(b, huge)
-	u32(b, huge)
-	u32(b, huge)
-	if _, err := ReadCodebooks(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("ReadCodebooks accepted overflowing dimensions")
+	// Each sub-object is reached through a layer stream; the parts before
+	// the overflowing one are minimal 1×1×1 objects.
+	layer := func(hasQ bool) *bytes.Buffer {
+		b := header(magicLayer)
+		if hasQ {
+			b.WriteByte(1)
+		} else {
+			b.WriteByte(0)
+		}
+		b.WriteByte(0) // no bias
+		return b
+	}
+	unit := func(b *bytes.Buffer, magic string) {
+		b.Write(header(magic).Bytes())
+		u32(b, 1)
+		u32(b, 1)
+		u32(b, 1)
 	}
 
-	b = header(magicLUT)
+	b := layer(false)
+	b.Write(header(magicCodebooks).Bytes())
 	u32(b, huge)
 	u32(b, huge)
 	u32(b, huge)
-	if _, err := ReadLUT(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("ReadLUT accepted overflowing dimensions")
+	if _, err := NewDecoder(bytes.NewReader(b.Bytes())).Layer(); err == nil {
+		t.Fatal("Decoder.Layer accepted overflowing codebook dimensions")
 	}
 
-	b = header(magicQLUT)
+	b = layer(false)
+	unit(b, magicCodebooks)
+	u32(b, 0) // the one codebook element
+	b.Write(header(magicLUT).Bytes())
+	u32(b, huge)
+	u32(b, huge)
+	u32(b, huge)
+	if _, err := NewDecoder(bytes.NewReader(b.Bytes())).Layer(); err == nil {
+		t.Fatal("Decoder.Layer accepted overflowing LUT dimensions")
+	}
+
+	b = layer(true)
+	unit(b, magicCodebooks)
+	u32(b, 0)
+	unit(b, magicLUT)
+	u32(b, 0) // the one table element
+	b.Write(header(magicQLUT).Bytes())
 	u32(b, huge)
 	u32(b, huge)
 	u32(b, huge)
 	u32(b, 0x3f800000) // scale = 1.0
-	if _, err := ReadQuantizedLUT(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("ReadQuantizedLUT accepted overflowing dimensions")
-	}
-
-	b = header(magicHalfLUT)
-	u32(b, huge)
-	u32(b, huge)
-	u32(b, huge)
-	b.WriteByte(0) // BF flag
-	if _, err := ReadHalfLUT(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("ReadHalfLUT accepted overflowing dimensions")
+	if _, err := NewDecoder(bytes.NewReader(b.Bytes())).Layer(); err == nil {
+		t.Fatal("Decoder.Layer accepted overflowing quantized LUT dimensions")
 	}
 
 	// Rank-8 tensor of huge dims: the shape product wraps far past int64.
@@ -144,10 +166,10 @@ func TestOverflowingDims(t *testing.T) {
 
 // TestBadMagicAndVersion covers the outermost rejects.
 func TestBadMagicAndVersion(t *testing.T) {
-	if _, err := ReadLayer(bytes.NewReader([]byte("XXXX\x01\x00"))); err == nil {
-		t.Fatal("ReadLayer accepted bad magic")
+	if _, err := NewDecoder(bytes.NewReader([]byte("XXXX\x01\x00"))).Layer(); err == nil {
+		t.Fatal("Decoder.Layer accepted bad magic")
 	}
-	if _, err := ReadLayer(bytes.NewReader([]byte(magicLayer + "\x63\x00"))); err == nil {
-		t.Fatal("ReadLayer accepted unsupported version")
+	if _, err := NewDecoder(bytes.NewReader([]byte(magicLayer + "\x63\x00"))).Layer(); err == nil {
+		t.Fatal("Decoder.Layer accepted unsupported version")
 	}
 }

@@ -1,6 +1,7 @@
 // Package serial provides a compact binary format for deployable PIM-DL
-// artifacts: codebooks, lookup tables (FP32/INT8/16-bit), converted
-// layers, and tuned mapping parameters. The format is little-endian,
+// artifacts: converted layers (codebooks, FP32 and INT8 lookup tables,
+// bias), tuned mapping parameters, tensors and JSON configs, written by
+// an Encoder and read back by a Decoder. The format is little-endian,
 // versioned, and self-describing enough that a loader can reject
 // mismatched shapes instead of mis-reading them.
 //
@@ -28,7 +29,6 @@ const (
 	magicCodebooks = "PDCB"
 	magicLUT       = "PDLT"
 	magicQLUT      = "PDQT"
-	magicHalfLUT   = "PDHT"
 	magicLayer     = "PDLY"
 	magicMapping   = "PDMP"
 	magicTensor    = "PDTN"
@@ -81,17 +81,6 @@ func (w *writer) f32s(vs []float32) {
 	buf := make([]byte, 4*len(vs))
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	w.bytes(buf)
-}
-
-func (w *writer) u16s(vs []uint16) {
-	if w.err != nil {
-		return
-	}
-	buf := make([]byte, 2*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint16(buf[i*2:], v)
 	}
 	w.bytes(buf)
 }
@@ -203,22 +192,6 @@ func (r *reader) f32s(n int) []float32 {
 	return out
 }
 
-func (r *reader) u16s(n int) []uint16 {
-	if r.err != nil {
-		return nil
-	}
-	buf := make([]byte, 2*n)
-	r.bytes(buf)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(buf[i*2:])
-	}
-	return out
-}
-
 func (r *reader) i8s(n int) []int8 {
 	if r.err != nil {
 		return nil
@@ -241,24 +214,12 @@ func (r *reader) bool() bool {
 	return b[0] != 0
 }
 
-// WriteCodebooks serializes c.
-func WriteCodebooks(w io.Writer, c *lutnn.Codebooks) error {
-	sw := newWriter(w)
-	writeCodebooks(sw, c)
-	return sw.flush()
-}
-
 func writeCodebooks(sw *writer, c *lutnn.Codebooks) {
 	sw.magic(magicCodebooks)
 	sw.u32(uint32(c.CB))
 	sw.u32(uint32(c.CT))
 	sw.u32(uint32(c.V))
 	sw.f32s(c.Data)
-}
-
-// ReadCodebooks deserializes codebooks.
-func ReadCodebooks(r io.Reader) (*lutnn.Codebooks, error) {
-	return readCodebooks(newReader(r))
 }
 
 func readCodebooks(sr *reader) (*lutnn.Codebooks, error) {
@@ -273,24 +234,12 @@ func readCodebooks(sr *reader) (*lutnn.Codebooks, error) {
 	return out, sr.err
 }
 
-// WriteLUT serializes an FP32 lookup table.
-func WriteLUT(w io.Writer, l *lutnn.LUT) error {
-	sw := newWriter(w)
-	writeLUT(sw, l)
-	return sw.flush()
-}
-
 func writeLUT(sw *writer, l *lutnn.LUT) {
 	sw.magic(magicLUT)
 	sw.u32(uint32(l.CB))
 	sw.u32(uint32(l.CT))
 	sw.u32(uint32(l.F))
 	sw.f32s(l.Data)
-}
-
-// ReadLUT deserializes an FP32 lookup table.
-func ReadLUT(r io.Reader) (*lutnn.LUT, error) {
-	return readLUT(newReader(r))
 }
 
 func readLUT(sr *reader) (*lutnn.LUT, error) {
@@ -307,13 +256,6 @@ func readLUT(sr *reader) (*lutnn.LUT, error) {
 	return &lutnn.LUT{CB: cb, CT: ct, F: f, Data: data}, nil
 }
 
-// WriteQuantizedLUT serializes an INT8 table with its scale.
-func WriteQuantizedLUT(w io.Writer, q *lutnn.QuantizedLUT) error {
-	sw := newWriter(w)
-	writeQuantizedLUT(sw, q)
-	return sw.flush()
-}
-
 func writeQuantizedLUT(sw *writer, q *lutnn.QuantizedLUT) {
 	sw.magic(magicQLUT)
 	sw.u32(uint32(q.CB))
@@ -321,11 +263,6 @@ func writeQuantizedLUT(sw *writer, q *lutnn.QuantizedLUT) {
 	sw.u32(uint32(q.F))
 	sw.f32(q.Scale)
 	sw.i8s(q.Data)
-}
-
-// ReadQuantizedLUT deserializes an INT8 table.
-func ReadQuantizedLUT(r io.Reader) (*lutnn.QuantizedLUT, error) {
-	return readQuantizedLUT(newReader(r))
 }
 
 func readQuantizedLUT(sr *reader) (*lutnn.QuantizedLUT, error) {
@@ -343,131 +280,8 @@ func readQuantizedLUT(sr *reader) (*lutnn.QuantizedLUT, error) {
 	return &lutnn.QuantizedLUT{CB: cb, CT: ct, F: f, Scale: scale, Data: data}, nil
 }
 
-// WriteHalfLUT serializes a 16-bit table.
-func WriteHalfLUT(w io.Writer, h *lutnn.HalfLUT) error {
-	sw := newWriter(w)
-	sw.magic(magicHalfLUT)
-	sw.u32(uint32(h.CB))
-	sw.u32(uint32(h.CT))
-	sw.u32(uint32(h.F))
-	sw.bool(h.BF)
-	sw.u16s(h.Data)
-	return sw.flush()
-}
-
-// ReadHalfLUT deserializes a 16-bit table.
-func ReadHalfLUT(r io.Reader) (*lutnn.HalfLUT, error) {
-	sr := newReader(r)
-	sr.magic(magicHalfLUT)
-	cb, ct, f := sr.dim("CB"), sr.dim("CT"), sr.dim("F")
-	bf := sr.bool()
-	n := sr.elems("half LUT", cb, ct, f)
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	data := sr.u16s(n)
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	return &lutnn.HalfLUT{CB: cb, CT: ct, F: f, BF: bf, Data: data}, nil
-}
-
-// WriteLayer serializes a full converted layer: codebooks, FP32 table,
-// optional INT8 table and optional bias.
-func WriteLayer(w io.Writer, ly *lutnn.Layer) error {
-	sw := newWriter(w)
-	sw.magic(magicLayer)
-	sw.bool(ly.QTable != nil)
-	sw.bool(ly.Bias != nil)
-	writeCodebooks(sw, ly.Codebooks)
-	writeLUT(sw, ly.Table)
-	if ly.QTable != nil {
-		writeQuantizedLUT(sw, ly.QTable)
-	}
-	if ly.Bias != nil {
-		sw.u32(uint32(ly.Bias.Size()))
-		sw.f32s(ly.Bias.Data)
-	}
-	return sw.flush()
-}
-
-// ReadLayer deserializes a converted layer.
-func ReadLayer(r io.Reader) (*lutnn.Layer, error) {
-	sr := newReader(r)
-	sr.magic(magicLayer)
-	hasQ := sr.bool()
-	hasBias := sr.bool()
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	cbs, err := readCodebooks(sr)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := readLUT(sr)
-	if err != nil {
-		return nil, err
-	}
-	ly := &lutnn.Layer{Codebooks: cbs, Table: tbl}
-	if tbl.CB != cbs.CB || tbl.CT != cbs.CT {
-		return nil, fmt.Errorf("serial: layer table (%d,%d) inconsistent with codebooks (%d,%d)",
-			tbl.CB, tbl.CT, cbs.CB, cbs.CT)
-	}
-	if hasQ {
-		q, err := readQuantizedLUT(sr)
-		if err != nil {
-			return nil, err
-		}
-		ly.QTable = q
-	}
-	if hasBias {
-		n := sr.dim("bias")
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		data := sr.f32s(n)
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		ly.Bias = biasTensor(data)
-	}
-	return ly, nil
-}
-
-// WriteMapping serializes tuned mapping parameters.
-func WriteMapping(w io.Writer, m pim.Mapping) error {
-	sw := newWriter(w)
-	sw.magic(magicMapping)
-	for _, v := range []int{m.NsTile, m.FsTile, m.NmTile, m.FmTile, m.CBmTile,
-		int(m.Traversal[0]), int(m.Traversal[1]), int(m.Traversal[2]),
-		int(m.Scheme), m.CBLoadTile, m.FLoadTile} {
-		sw.u32(uint32(v))
-	}
-	return sw.flush()
-}
-
-// ReadMapping deserializes tuned mapping parameters.
-func ReadMapping(r io.Reader) (pim.Mapping, error) {
-	sr := newReader(r)
-	sr.magic(magicMapping)
-	vals := make([]uint32, 11)
-	for i := range vals {
-		vals[i] = sr.u32()
-	}
-	if sr.err != nil {
-		return pim.Mapping{}, sr.err
-	}
-	return pim.Mapping{
-		NsTile: int(vals[0]), FsTile: int(vals[1]),
-		NmTile: int(vals[2]), FmTile: int(vals[3]), CBmTile: int(vals[4]),
-		Traversal:  [3]pim.Loop{pim.Loop(vals[5]), pim.Loop(vals[6]), pim.Loop(vals[7])},
-		Scheme:     pim.LoadScheme(vals[8]),
-		CBLoadTile: int(vals[9]), FLoadTile: int(vals[10]),
-	}, nil
-}
-
-// Encoder writes multiple artifacts sequentially to one stream, sharing a
-// single buffered writer (safe where back-to-back Write* calls are).
+// Encoder writes artifacts sequentially to one stream through a single
+// buffered writer.
 type Encoder struct {
 	sw *writer
 }
@@ -506,9 +320,8 @@ func (e *Encoder) Mapping(m pim.Mapping) error {
 // Flush commits buffered bytes to the underlying writer.
 func (e *Encoder) Flush() error { return e.sw.flush() }
 
-// Decoder reads artifacts sequentially from one stream. Unlike the
-// one-shot Read* functions it is safe for files holding several objects:
-// all reads share one buffer.
+// Decoder reads artifacts sequentially from one stream; all reads share
+// one buffer, so a file may hold several objects.
 type Decoder struct {
 	sr *reader
 }
@@ -532,11 +345,19 @@ func (d *Decoder) Layer() (*lutnn.Layer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if tbl.CB != cbs.CB || tbl.CT != cbs.CT {
+		return nil, fmt.Errorf("serial: layer table (%d,%d) inconsistent with codebooks (%d,%d)",
+			tbl.CB, tbl.CT, cbs.CB, cbs.CT)
+	}
 	ly := &lutnn.Layer{Codebooks: cbs, Table: tbl}
 	if hasQ {
 		q, err := readQuantizedLUT(d.sr)
 		if err != nil {
 			return nil, err
+		}
+		if q.CB != tbl.CB || q.CT != tbl.CT || q.F != tbl.F {
+			return nil, fmt.Errorf("serial: layer INT8 table (%d,%d,%d) inconsistent with FP32 table (%d,%d,%d)",
+				q.CB, q.CT, q.F, tbl.CB, tbl.CT, tbl.F)
 		}
 		ly.QTable = q
 	}
@@ -544,6 +365,9 @@ func (d *Decoder) Layer() (*lutnn.Layer, error) {
 		n := d.sr.dim("bias")
 		if d.sr.err != nil {
 			return nil, d.sr.err
+		}
+		if n != tbl.F {
+			return nil, fmt.Errorf("serial: layer bias length %d != table F %d", n, tbl.F)
 		}
 		data := d.sr.f32s(n)
 		if d.sr.err != nil {

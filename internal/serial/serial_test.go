@@ -29,16 +29,28 @@ func testLayer(t *testing.T, seed int64, withQ, withBias bool) *lutnn.Layer {
 	return ly
 }
 
-func TestCodebooksRoundTrip(t *testing.T) {
-	ly := testLayer(t, 1, false, false)
+// roundTrip writes ly through an Encoder and reads it back through a
+// Decoder.
+func roundTrip(t *testing.T, ly *lutnn.Layer) *lutnn.Layer {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCodebooks(&buf, ly.Codebooks); err != nil {
+	enc := NewEncoder(&buf)
+	if err := enc.Layer(ly); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCodebooks(&buf)
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDecoder(&buf).Layer()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return got
+}
+
+func TestCodebooksRoundTrip(t *testing.T) {
+	ly := testLayer(t, 1, false, false)
+	got := roundTrip(t, ly).Codebooks
 	if got.CB != ly.Codebooks.CB || got.CT != ly.Codebooks.CT || got.V != ly.Codebooks.V {
 		t.Fatal("dims lost")
 	}
@@ -51,13 +63,9 @@ func TestCodebooksRoundTrip(t *testing.T) {
 
 func TestLUTRoundTrip(t *testing.T) {
 	ly := testLayer(t, 2, false, false)
-	var buf bytes.Buffer
-	if err := WriteLUT(&buf, ly.Table); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLUT(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got := roundTrip(t, ly).Table
+	if got.CB != ly.Table.CB || got.CT != ly.Table.CT || got.F != ly.Table.F {
+		t.Fatal("dims lost")
 	}
 	for i := range got.Data {
 		if got.Data[i] != ly.Table.Data[i] {
@@ -68,14 +76,7 @@ func TestLUTRoundTrip(t *testing.T) {
 
 func TestQuantizedLUTRoundTrip(t *testing.T) {
 	ly := testLayer(t, 3, true, false)
-	var buf bytes.Buffer
-	if err := WriteQuantizedLUT(&buf, ly.QTable); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadQuantizedLUT(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, ly).QTable
 	if got.Scale != ly.QTable.Scale {
 		t.Fatal("scale lost")
 	}
@@ -86,42 +87,12 @@ func TestQuantizedLUTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHalfLUTRoundTrip(t *testing.T) {
-	ly := testLayer(t, 4, false, false)
-	for _, bf := range []bool{false, true} {
-		h := ly.Table.QuantizeHalf(bf)
-		var buf bytes.Buffer
-		if err := WriteHalfLUT(&buf, h); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadHalfLUT(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.BF != bf {
-			t.Fatal("BF flag lost")
-		}
-		for i := range got.Data {
-			if got.Data[i] != h.Data[i] {
-				t.Fatal("half data corrupted")
-			}
-		}
-	}
-}
-
 func TestLayerRoundTripFullFidelity(t *testing.T) {
 	for _, tc := range []struct{ q, bias bool }{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	} {
 		ly := testLayer(t, 5, tc.q, tc.bias)
-		var buf bytes.Buffer
-		if err := WriteLayer(&buf, ly); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadLayer(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := roundTrip(t, ly)
 		// The loaded layer must produce identical outputs.
 		rng := rand.New(rand.NewSource(6))
 		acts := tensor.RandN(rng, 1, 16, 16)
@@ -141,10 +112,14 @@ func TestMappingRoundTrip(t *testing.T) {
 		Scheme:    pim.CoarseLoad, CBLoadTile: 1, FLoadTile: 32,
 	}
 	var buf bytes.Buffer
-	if err := WriteMapping(&buf, m); err != nil {
+	enc := NewEncoder(&buf)
+	if err := enc.Mapping(m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMapping(&buf)
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDecoder(&buf).Mapping()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,39 +129,94 @@ func TestMappingRoundTrip(t *testing.T) {
 }
 
 func TestRejectsBadMagic(t *testing.T) {
-	if _, err := ReadCodebooks(bytes.NewReader([]byte("XXXX\x01\x00"))); err == nil {
+	if _, err := NewDecoder(bytes.NewReader([]byte("XXXX\x01\x00"))).Layer(); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestRejectsTruncated(t *testing.T) {
-	ly := testLayer(t, 7, false, false)
-	var buf bytes.Buffer
-	if err := WriteLUT(&buf, ly.Table); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadLUT(bytes.NewReader(trunc)); err == nil {
+	data := validLayerBytes(t)
+	trunc := data[:len(data)/2]
+	if _, err := NewDecoder(bytes.NewReader(trunc)).Layer(); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
 
 func TestRejectsWrongVersion(t *testing.T) {
-	data := append([]byte(magicCodebooks), 0xff, 0x00)
-	if _, err := ReadCodebooks(bytes.NewReader(data)); err == nil {
+	data := append([]byte(magicLayer), 0xff, 0x00)
+	if _, err := NewDecoder(bytes.NewReader(data)).Layer(); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 }
 
 func TestRejectsImplausibleDims(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(magicLUT)
-	buf.Write([]byte{1, 0})                   // version
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // CB = 2^32-1
-	buf.Write([]byte{1, 0, 0, 0, 1, 0, 0, 0}) // CT = F = 1
-	if _, err := ReadLUT(&buf); err == nil {
+	sw := newWriter(&buf)
+	layerPrefix(sw, false, false)
+	sw.magic(magicCodebooks)
+	sw.u32(0xffffffff) // CB = 2^32-1
+	sw.u32(1)          // CT
+	sw.u32(1)          // V
+	if err := sw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDecoder(&buf).Layer(); err == nil {
 		t.Fatal("implausible dims accepted")
 	}
+}
+
+// TestDecoderLayerRejectsInconsistentBundle hand-assembles layer streams
+// whose parts are each well-formed but disagree on shape: a table whose
+// (CB, CT) is not the codebooks', an INT8 table whose (CB, CT, F) is not
+// the FP32 table's, and a bias whose length is not F. Each must be
+// rejected; a layer built from them would gather garbage.
+func TestDecoderLayerRejectsInconsistentBundle(t *testing.T) {
+	cbs44 := lutnn.NewCodebooks(4, 4, 2)
+	tbl := func(cb, ct, f int) *lutnn.LUT {
+		return &lutnn.LUT{CB: cb, CT: ct, F: f, Data: make([]float32, cb*ct*f)}
+	}
+	qtbl := func(cb, ct, f int) *lutnn.QuantizedLUT {
+		return &lutnn.QuantizedLUT{CB: cb, CT: ct, F: f, Scale: 1, Data: make([]int8, cb*ct*f)}
+	}
+	for _, tc := range []struct {
+		name string
+		tbl  *lutnn.LUT
+		q    *lutnn.QuantizedLUT
+		bias int
+	}{
+		{name: "table CB/CT vs codebooks", tbl: tbl(2, 4, 6)},
+		{name: "table CT vs codebooks", tbl: tbl(4, 2, 6)},
+		{name: "INT8 table vs FP32 table", tbl: tbl(4, 4, 6), q: qtbl(4, 4, 5)},
+		{name: "bias length vs F", tbl: tbl(4, 4, 6), bias: 5},
+	} {
+		var buf bytes.Buffer
+		sw := newWriter(&buf)
+		layerPrefix(sw, tc.q != nil, tc.bias > 0)
+		writeCodebooks(sw, cbs44)
+		writeLUT(sw, tc.tbl)
+		if tc.q != nil {
+			writeQuantizedLUT(sw, tc.q)
+		}
+		if tc.bias > 0 {
+			sw.u32(uint32(tc.bias))
+			sw.f32s(make([]float32, tc.bias))
+		}
+		if err := sw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ly, err := NewDecoder(&buf).Layer(); err == nil {
+			t.Errorf("%s: inconsistent layer accepted: table (%d,%d,%d), codebooks (%d,%d)",
+				tc.name, ly.Table.CB, ly.Table.CT, ly.Table.F, ly.Codebooks.CB, ly.Codebooks.CT)
+		}
+	}
+}
+
+// layerPrefix writes a layer header with its two presence flags, for
+// tests that assemble the rest of the stream part by part.
+func layerPrefix(sw *writer, hasQ, hasBias bool) {
+	sw.magic(magicLayer)
+	sw.bool(hasQ)
+	sw.bool(hasBias)
 }
 
 func TestEncoderDecoderMultiObjectStream(t *testing.T) {

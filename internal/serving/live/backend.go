@@ -114,13 +114,6 @@ func (b *PIMBackend) SetPlan(plan pim.FaultPlan) {
 	b.mu.Unlock()
 }
 
-// Plan returns the active fault plan.
-func (b *PIMBackend) Plan() pim.FaultPlan {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.plan
-}
-
 // Execute implements Backend.
 func (b *PIMBackend) Execute(size, rows int) Outcome {
 	b.mu.Lock()

@@ -192,10 +192,9 @@ func (s *Server) Recorder() *Recorder { return s.rec }
 
 // SetTracer attaches a span tracer to the server. Must be called before
 // Start; a nil tracer (the default) records nothing.
+//
+//pimdl:lint-ignore deadexport goroutine server tracing is reached from trace_test only until live.Server joins the serve workload
 func (s *Server) SetTracer(tc *obs.Tracer) { s.tracer = tc }
-
-// Tracer returns the attached span tracer (nil when tracing is off).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Breaker returns the circuit breaker (disabled breakers report
 // BreakerClosed forever).

@@ -94,25 +94,11 @@ func (b *ShardedPIMBackend) SetPlan(plan pim.FaultPlan) {
 	b.mu.Unlock()
 }
 
-// Plan returns the active fault plan.
-func (b *ShardedPIMBackend) Plan() pim.FaultPlan {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.plan
-}
-
 // SetShardDown marks one shard dead or revived (chaos controller).
 func (b *ShardedPIMBackend) SetShardDown(id int, down bool) {
 	b.mu.Lock()
 	b.state.SetDown(id, down)
 	b.mu.Unlock()
-}
-
-// State returns a copy of the current shard up/down state.
-func (b *ShardedPIMBackend) State() shard.State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state.Clone()
 }
 
 // allUp reports whether st marks no shard down.

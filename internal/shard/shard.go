@@ -18,7 +18,7 @@
 // a dead shard's blocks fail over to the surviving replicas. Only when
 // every replica of some range is lost does the cluster become
 // irrecoverable (ErrAllReplicasLost, matching pim.ErrIrrecoverable for
-// errors.Is so the engine's host-GEMM fallback fires unchanged).
+// errors.Is so the live runtime's host fallback fires unchanged).
 //
 // Everything is deterministic: per-shard fault plans derive from the
 // base plan seed with a splitmix64 mix of the shard ID (a storm replays

@@ -70,6 +70,8 @@ func (c *Cluster) Estimate(base pim.FaultPlan, st State) (*ClusterTiming, error)
 
 // EstimateSerial is the serial oracle: identical inputs produce
 // byte-identical ClusterTiming without touching the worker pool.
+//
+//pimdl:lint-ignore deadexport serial oracle the concurrent Estimate is tested against
 func (c *Cluster) EstimateSerial(base pim.FaultPlan, st State) (*ClusterTiming, error) {
 	rp, err := c.Route(base, st)
 	if err != nil {

@@ -22,16 +22,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return c
 }
 
-// Mul returns a ⊙ b elementwise.
-func Mul(a, b *Tensor) *Tensor {
-	checkSame("Mul", a, b)
-	c := a.Clone()
-	for i, v := range b.Data {
-		c.Data[i] *= v
-	}
-	return c
-}
-
 // Scale returns s·a.
 func Scale(a *Tensor, s float32) *Tensor {
 	c := a.Clone()
@@ -159,17 +149,6 @@ func geluScalar(x float32) float32 {
 	return float32(0.5 * xf * (1 + math.Tanh(c0*(xf+0.044715*xf*xf*xf))))
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	c := a.Clone()
-	for i, v := range c.Data {
-		if v < 0 {
-			c.Data[i] = 0
-		}
-	}
-	return c
-}
-
 // ArgMaxRows returns, for each row of a rank-2 tensor, the column index of
 // its largest element.
 func ArgMaxRows(a *Tensor) []int {
@@ -186,29 +165,6 @@ func ArgMaxRows(a *Tensor) []int {
 		out[i] = best
 	}
 	return out
-}
-
-// SumSquares returns Σ x².
-func SumSquares(a *Tensor) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += float64(v) * float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func Mean(a *Tensor) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += float64(v)
-	}
-	return s / float64(len(a.Data))
-}
-
-// Frobenius returns the Frobenius norm ‖a‖₂.
-func Frobenius(a *Tensor) float64 {
-	return math.Sqrt(SumSquares(a))
 }
 
 // RelativeError returns ‖a−b‖₂ / ‖b‖₂, a scale-free approximation error.

@@ -47,23 +47,13 @@ func QuantizeINT8(t *Tensor) *QTensor {
 	return q
 }
 
-// Shape returns the quantized tensor's dimensions.
-func (q *QTensor) Shape() []int { return q.shape }
-
-// Size returns the total element count.
-func (q *QTensor) Size() int { return len(q.Data) }
-
 // Dequantize reconstructs a float tensor.
+//
+//pimdl:lint-ignore deadexport inverse of QuantizeINT8, the round-trip oracle of the tensor tests
 func (q *QTensor) Dequantize() *Tensor {
 	t := New(q.shape...)
 	for i, v := range q.Data {
 		t.Data[i] = float32(v) * q.Scale
 	}
 	return t
-}
-
-// QuantError returns the relative Frobenius error introduced by INT8
-// quantization of t.
-func QuantError(t *Tensor) float64 {
-	return RelativeError(QuantizeINT8(t).Dequantize(), t)
 }

@@ -66,18 +66,16 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 //pimdl:hotpath
 func (t *Tensor) Size() int { return len(t.Data) }
 
-// Rows returns the size of the first dimension of a matrix.
-func (t *Tensor) Rows() int { return t.shape[0] }
-
-// Cols returns the size of the second dimension of a matrix.
-func (t *Tensor) Cols() int { return t.shape[1] }
-
 // At returns the element at the given indices.
+//
+//pimdl:lint-ignore deadexport indexed read the tensor, autograd and lutnn tests share
 func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
 }
 
 // Set writes v at the given indices.
+//
+//pimdl:lint-ignore deadexport indexed write the tensor, autograd and lutnn tests share
 func (t *Tensor) Set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
@@ -169,7 +167,7 @@ func XavierInit(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
 
 // Equal reports whether a and b have identical shapes and bit-identical
 // elements. This is the bit-exactness oracle the LUT-vs-GEMM equivalence
-// tests rely on; use AllClose for tolerance comparisons.
+// tests rely on; use MaxAbsDiff for tolerance comparisons.
 func Equal(a, b *Tensor) bool {
 	if !sameShape(a.shape, b.shape) {
 		return false
@@ -177,19 +175,6 @@ func Equal(a, b *Tensor) bool {
 	for i := range a.Data {
 		//pimdl:lint-ignore float-compare bit-exact identity is this oracle's documented contract
 		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether a and b match within absolute tolerance tol.
-func AllClose(a, b *Tensor, tol float64) bool {
-	if !sameShape(a.shape, b.shape) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(float64(a.Data[i]-b.Data[i])) > tol {
 			return false
 		}
 	}
