@@ -360,11 +360,6 @@ type DecodeBatch struct {
 	m        *Model
 	sessions []*DecodeSession
 
-	// traceID is the exemplar identity a batched step stamps onto the
-	// pimdl_decode_batch_rows histogram. Nothing sets it any more, so it
-	// is always 0 (no exemplar); it goes with the next change to Feed.
-	traceID uint64
-
 	// Stacked scratch, grown to the high-water batch size.
 	x, h, qkv, att, proj, inner []float32
 }
@@ -415,7 +410,7 @@ func (db *DecodeBatch) Feed(toks []int) error {
 		return rows[0].Feed(rowToks[0])
 	}
 	db.stepRows(rows, rowToks)
-	decodeRecordBatch(len(rows), db.traceID)
+	decodeRecordBatch(len(rows))
 	return nil
 }
 

@@ -50,12 +50,10 @@ func decodeRecordRebase(rows int) {
 	decodePrefillRows.Add(int64(rows))
 }
 
-func decodeRecordBatch(rows int, traceID uint64) {
+func decodeRecordBatch(rows int) {
 	if !metrics.Enabled() {
 		return
 	}
 	decodeBatchSteps.Inc()
-	// traceID (0 = none) would link the bucket back to a kept request
-	// trace; DecodeBatch always passes 0 (see DecodeBatch.traceID).
-	decodeBatchRows.ObserveExemplar(float64(rows), traceID)
+	decodeBatchRows.Observe(float64(rows))
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -388,4 +389,115 @@ func AllClose(a, b *Tensor, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// matVecTOracle is the scalar reference for MatVecTInto: one float32
+// accumulator per output, starting at zero and summing a[p]·B[j][p] in
+// ascending p. The tiled kernel promises this exact evaluation order, so
+// its results must match bit for bit.
+func matVecTOracle(dst, a, b []float32, n, k int) {
+	for j := 0; j < n; j++ {
+		var s float32
+		for p := 0; p < k; p++ {
+			s += a[p] * b[j*k+p]
+		}
+		dst[j] = s
+	}
+}
+
+// oracleOperand fills a slice with normal values sprinkled with the
+// float32 edge cases: signed zeros and subnormals always, plus signed
+// infinities and NaN when nonFinite is set. The finite-only runs keep
+// the rounding of long sums under test, since one NaN or Inf in a
+// poisons every output it reaches.
+func oracleOperand(rng *rand.Rand, size int, nonFinite bool) []float32 {
+	finite := []float32{0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), -math.Float32frombits(0x00400001)}
+	inf := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	out := make([]float32, size)
+	for i := range out {
+		switch r := rng.Intn(256); {
+		case nonFinite && r < 2:
+			out[i] = inf[rng.Intn(len(inf))]
+		case r < 32:
+			out[i] = finite[rng.Intn(len(finite))]
+		default:
+			out[i] = float32(rng.NormFloat64())
+		}
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for j := range want {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("%s: output %d = %#08x (%g), oracle %#08x (%g)", what, j,
+				math.Float32bits(got[j]), got[j], math.Float32bits(want[j]), want[j])
+		}
+	}
+}
+
+func TestMatVecTIntoBitIdenticalToOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 255, 256, 257, 1024} {
+		for _, k := range []int{0, 1, 3, 64, 256} {
+			for _, nonFinite := range []bool{false, true} {
+				a := oracleOperand(rng, k, nonFinite)
+				b := oracleOperand(rng, n*k, nonFinite)
+				got, want := make([]float32, n), make([]float32, n)
+				for j := range got {
+					got[j] = float32(math.NaN()) // every output must be written
+				}
+				MatVecTInto(got, a, b, n, k)
+				matVecTOracle(want, a, b, n, k)
+				sameBits(t, fmt.Sprintf("MatVecTInto n=%d k=%d", n, k), got, want)
+			}
+		}
+	}
+}
+
+// TestMatMulTIntoBitIdenticalToOracle covers the parallelRows fan-out:
+// odd row counts smaller than a typical worker count, each large enough
+// in k·n to split into per-row chunks, and a 33-row case whose chunk grid
+// leaves a short last chunk.
+func TestMatMulTIntoBitIdenticalToOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, s := range []struct{ m, n, k int }{
+		{1, 1024, 256}, {3, 1024, 256}, {5, 257, 256}, {7, 9, 3}, {33, 257, 256},
+	} {
+		for _, nonFinite := range []bool{false, true} {
+			a := oracleOperand(rng, s.m*s.k, nonFinite)
+			b := oracleOperand(rng, s.n*s.k, nonFinite)
+			c := New(s.m, s.n)
+			MatMulTInto(c, FromSlice(a, s.m, s.k), FromSlice(b, s.n, s.k))
+			want := make([]float32, s.m*s.n)
+			for i := 0; i < s.m; i++ {
+				matVecTOracle(want[i*s.n:(i+1)*s.n], a[i*s.k:(i+1)*s.k], b, s.n, s.k)
+			}
+			sameBits(t, fmt.Sprintf("MatMulTInto m=%d n=%d k=%d", s.m, s.n, s.k), c.Data, want)
+		}
+	}
+}
+
+func TestMatVecTIntoShapeMismatchPanics(t *testing.T) {
+	for _, s := range []struct{ dst, a, b, n, k int }{
+		{4, 3, 11, 4, 3}, {3, 3, 12, 4, 3}, {4, 2, 12, 4, 3}, {4, 3, 13, 4, 3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MatVecTInto dst=%d a=%d b=%d n=%d k=%d did not panic", s.dst, s.a, s.b, s.n, s.k)
+				}
+			}()
+			MatVecTInto(make([]float32, s.dst), make([]float32, s.a), make([]float32, s.b), s.n, s.k)
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MatMulTInto with a wrong output shape did not panic")
+		}
+	}()
+	MatMulTInto(New(2, 3), New(2, 4), New(4, 4))
 }
