@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke trace-smoke benchmark benchmark-compare metrics-smoke vet fmt lint lint-baseline experiments examples clean
+.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke convert-smoke trace-smoke benchmark benchmark-compare metrics-smoke vet fmt lint lint-baseline experiments examples clean
 
 all: build vet lint test
 
@@ -124,6 +124,20 @@ decode-smoke:
 	$(GO) test -race ./internal/nn/ ./internal/lutnn/ ./internal/tensor/ \
 		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|SearchRow|DecodeLookupRow|ForwardRow|BitIdenticalToOracle|ShapeMismatchPanics' \
 		-v -timeout 600s
+
+# convert-smoke runs the LUT-NN conversion's bit-exactness oracles under
+# the race detector at GOMAXPROCS 1, 2 and 8, twice each: k-means
+# clustering identical at any worker count, incremental k-means++ seeding
+# and the unrolled dim-4 nearest == their full-rescan and general-loop
+# oracles, BuildCodebooks/BuildLUT's per-codebook fan-out == the serial
+# loops (nested k-means dispatch included), concurrent Convert callers,
+# and the input checks that must fire before the fan-out. Conversion
+# speed is measured by the benchmark's prefill_lut set-up and convert
+# workload (make benchmark).
+convert-smoke:
+	$(GO) test -race -count=2 -cpu 1,2,8 ./internal/kmeans/ ./internal/lutnn/ \
+		-run 'DeterministicAcrossGOMAXPROCS|MatchesOracle|MatchesSerialOracle|ConcurrentCallers|BadInput' \
+		-timeout 600s
 
 # trace-smoke exercises the request-scoped tracing layer end to end:
 # first the tracing oracles under the race detector (server spans

@@ -5,6 +5,13 @@
 // calibration set (paper §3.1, step ❶). The clustering quality bounds the
 // approximation error of the whole LUT-NN layer, so the implementation
 // uses k-means++ initialization and runs to assignment convergence.
+//
+// Seeding is incremental: each point keeps its running minimum distance
+// to the centroids chosen so far and is compared only against the newest
+// one, so k-means++ costs O(n·k·dim) rather than O(n·k²·dim). Seeding
+// centroids never move, so the running minimum makes the same
+// comparisons in the same order as a full rescan and the D² weights —
+// and with them the seeded RNG draws — are bit-identical to it.
 package kmeans
 
 import (
@@ -38,11 +45,16 @@ type Config struct {
 
 // Run clusters n points of dimension dim (points is n×dim flattened).
 // If n < K the surplus centroids are duplicated from sampled points so the
-// result always has exactly K centroids. It panics if K is non-positive
-// or len(points) ≠ n·dim.
+// result always has exactly K centroids. It panics if K or n is
+// non-positive or len(points) ≠ n·dim; every check runs before the first
+// RNG draw or pool dispatch, so a bad input panics on the caller's
+// goroutine.
 func Run(points []float32, n, dim int, cfg Config) *Result {
 	if cfg.K <= 0 {
 		panic("kmeans: K must be positive")
+	}
+	if n <= 0 {
+		panic("kmeans: n must be positive")
 	}
 	if n*dim != len(points) {
 		panic("kmeans: points length does not match n×dim")
@@ -154,21 +166,36 @@ func seedPlusPlus(points []float32, n, dim, k int, rng *rand.Rand) []float32 {
 	cent := make([]float32, k*dim)
 	first := rng.Intn(n)
 	copy(cent[:dim], points[first*dim:(first+1)*dim])
-	d2 := make([]float64, n)
+	// minD[i] is point i's squared distance to its nearest centroid so
+	// far. It starts at nearest's initial best and uses its strict
+	// compare, so NaN and ±Inf distances never win here either.
+	minD := make([]float32, n)
+	for i := range minD {
+		minD[i] = math.MaxFloat32
+	}
 	for c := 1; c < k; c++ {
-		// D² weights per point in parallel (disjoint writes); the total
-		// is summed serially so the sampling distribution — and thus the
-		// seeded RNG draws — is identical at any worker count.
-		parallel.For(n, n*c*dim*3, func(lo, hi int) {
+		// Fold centroid c-1 into each point's minimum in parallel
+		// (disjoint writes); the total is summed serially so the
+		// sampling distribution — and thus the seeded RNG draws — is
+		// identical at any worker count.
+		newest := cent[(c-1)*dim : c*dim]
+		parallel.For(n, n*dim*3, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				p := points[i*dim : (i+1)*dim]
-				_, d := nearest(p, cent, c, dim)
-				d2[i] = float64(d)
+				q := newest[:len(p)]
+				var d float32
+				for j := range p {
+					diff := p[j] - q[j]
+					d += diff * diff
+				}
+				if d < minD[i] {
+					minD[i] = d
+				}
 			}
 		})
 		var total float64
 		for i := 0; i < n; i++ {
-			total += d2[i]
+			total += float64(minD[i])
 		}
 		var idx int
 		//pimdl:lint-ignore float-compare D² mass exactly zero means all points coincide with a centroid; fall back to uniform sampling
@@ -178,7 +205,7 @@ func seedPlusPlus(points []float32, n, dim, k int, rng *rand.Rand) []float32 {
 			target := rng.Float64() * total
 			var acc float64
 			for i := 0; i < n; i++ {
-				acc += d2[i]
+				acc += float64(minD[i])
 				if acc >= target {
 					idx = i
 					break
@@ -191,10 +218,35 @@ func seedPlusPlus(points []float32, n, dim, k int, rng *rand.Rand) []float32 {
 }
 
 // nearest returns the index of and squared distance to the closest of the
-// first k centroids.
+// first k centroids. It does not reuse lutnn's CCS kernel
+// (Codebooks.SearchInto): CCS minimises ‖c‖² − 2a·c, which rounds
+// differently from ‖a − c‖², so swapping it in would change assignments
+// and every codebook downstream.
 func nearest(p []float32, cent []float32, k, dim int) (int, float32) {
 	best := 0
 	bd := float32(math.MaxFloat32)
+	if dim == 4 {
+		// The conversion's common shape, written out so each centroid
+		// costs no inner loop. Same d += x·x order as the general loop.
+		p = p[:4]
+		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+		cent = cent[:k*4]
+		for c := 0; len(cent) >= 4; c++ {
+			cr := cent[:4:4]
+			cent = cent[4:]
+			d0, d1, d2, d3 := p0-cr[0], p1-cr[1], p2-cr[2], p3-cr[3]
+			var d float32
+			d += d0 * d0
+			d += d1 * d1
+			d += d2 * d2
+			d += d3 * d3
+			if d < bd {
+				bd = d
+				best = c
+			}
+		}
+		return best, bd
+	}
 	for c := 0; c < k; c++ {
 		cr := cent[c*dim : (c+1)*dim]
 		var d float32

@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,11 +124,19 @@ func TestPanicsOnBadInput(t *testing.T) {
 	for _, tc := range []func(){
 		func() { Run([]float32{1, 2}, 1, 2, Config{K: 0}) },
 		func() { Run([]float32{1, 2, 3}, 2, 2, Config{K: 1}) },
+		// n = 0 passes the length check; it must panic on its own
+		// check, not inside the RNG.
+		func() { Run(nil, 0, 2, Config{K: 1}) },
+		func() { Run(nil, -1, 0, Config{K: 4}) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatal("expected panic")
+				}
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "kmeans: ") {
+					t.Fatalf("panic %v did not come from kmeans' input checks", r)
 				}
 			}()
 			tc()

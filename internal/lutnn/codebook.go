@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/kmeans"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -66,6 +67,11 @@ func (c *Codebooks) Centroid(cb, ct int) []float32 {
 // acts (N×H) by clustering the 1×V sub-vectors of each column position
 // (paper §3.1 step ❶). Column cb clusters the sub-vectors
 // acts[:, cb·V:(cb+1)·V] across all N rows.
+//
+// Codebooks are clustered in parallel on the shared worker pool. Codebook
+// c always uses seed+c and writes only its own block of Data, so the
+// result is bit-identical at any worker count. Each kmeans.Run keeps its
+// own inner parallel.For, which runs inline when the pool is busy.
 func BuildCodebooks(acts *tensor.Tensor, p Params, seed int64) (*Codebooks, error) {
 	if acts.Rank() != 2 {
 		return nil, fmt.Errorf("lutnn: activations must be rank-2, got %v", acts.Shape())
@@ -75,16 +81,23 @@ func BuildCodebooks(acts *tensor.Tensor, p Params, seed int64) (*Codebooks, erro
 		return nil, err
 	}
 	n := acts.Dim(0)
+	// kmeans.Run panics on an empty input, and a panic on a pool worker
+	// crashes the process, so reject it here before fanning out.
+	if n == 0 {
+		return nil, fmt.Errorf("lutnn: no calibration rows")
+	}
 	cb := h / p.V
 	out := NewCodebooks(cb, p.CT, p.V)
-	sub := make([]float32, n*p.V)
-	for c := 0; c < cb; c++ {
-		for i := 0; i < n; i++ {
-			copy(sub[i*p.V:(i+1)*p.V], acts.Row(i)[c*p.V:(c+1)*p.V])
+	parallel.For(cb, cb*n*p.CT*p.V*3, func(lo, hi int) {
+		sub := make([]float32, n*p.V)
+		for c := lo; c < hi; c++ {
+			for i := 0; i < n; i++ {
+				copy(sub[i*p.V:(i+1)*p.V], acts.Row(i)[c*p.V:(c+1)*p.V])
+			}
+			res := kmeans.Run(sub, n, p.V, kmeans.Config{K: p.CT, Seed: seed + int64(c), Restarts: 1})
+			copy(out.Data[c*p.CT*p.V:(c+1)*p.CT*p.V], res.Centroids)
 		}
-		res := kmeans.Run(sub, n, p.V, kmeans.Config{K: p.CT, Seed: seed + int64(c), Restarts: 1})
-		copy(out.Data[c*p.CT*p.V:(c+1)*p.CT*p.V], res.Centroids)
-	}
+	})
 	return out, nil
 }
 

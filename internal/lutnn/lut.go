@@ -3,6 +3,7 @@ package lutnn
 import (
 	"fmt"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -28,21 +29,29 @@ func BuildLUT(c *Codebooks, w *tensor.Tensor) (*LUT, error) {
 	if h != c.CB*c.V {
 		return nil, fmt.Errorf("lutnn: weight width %d != CB·V = %d", h, c.CB*c.V)
 	}
+	if len(c.Data) != c.CB*c.CT*c.V {
+		return nil, fmt.Errorf("lutnn: codebook data length %d != CB·CT·V = %d", len(c.Data), c.CB*c.CT*c.V)
+	}
 	l := &LUT{CB: c.CB, CT: c.CT, F: f, Data: make([]float32, c.CB*c.CT*f)}
-	for cb := 0; cb < c.CB; cb++ {
-		for ct := 0; ct < c.CT; ct++ {
-			cent := c.Centroid(cb, ct)
-			dst := l.Slice(cb, ct)
-			for fi := 0; fi < f; fi++ {
-				wrow := w.Row(fi)[cb*c.V : (cb+1)*c.V]
-				var s float32
-				for v := range cent {
-					s += cent[v] * wrow[v]
+	// Codebooks fan out on the shared pool; codebook cb writes only its
+	// own CT×F block of rows, so the table is independent of the worker
+	// count.
+	parallel.For(c.CB, c.CB*c.CT*f*c.V*2, func(lo, hi int) {
+		for cb := lo; cb < hi; cb++ {
+			for ct := 0; ct < c.CT; ct++ {
+				cent := c.Centroid(cb, ct)
+				dst := l.Slice(cb, ct)
+				for fi := 0; fi < f; fi++ {
+					wrow := w.Row(fi)[cb*c.V : (cb+1)*c.V]
+					var s float32
+					for v := range cent {
+						s += cent[v] * wrow[v]
+					}
+					dst[fi] = s
 				}
-				dst[fi] = s
 			}
 		}
-	}
+	})
 	return l, nil
 }
 

@@ -1,6 +1,8 @@
 // Package parallel provides the shared bounded worker pool behind every
 // host-side data-parallel kernel in PIM-DL: CCS, LUT lookup, the fused
-// LUT-NN forward, GEMM, and the K-means assignment step.
+// LUT-NN forward, GEMM, and LUT-NN conversion, which fans per-codebook
+// k-means and the LUT build out over codebooks (each k-means run nests
+// its own assignment-step For, inline when the pool is busy).
 //
 // The package replaces the ad-hoc per-call goroutine flocks the kernels
 // used to spawn. Its contract (relied on by the golden and determinism
