@@ -60,16 +60,16 @@ test-faults:
 		-run 'Fault|Degraded|Robust|Flaky|Deadline|ZeroWait|Residual|Shrunken|RunPESet|Irrecoverable|Instantiate|ParseFlags' \
 		-timeout 600s
 
-# chaos-smoke exercises the live serving runtime end to end under the
-# race detector: first the chaos acceptance test (saturated run with a
-# mid-run fault storm — conservation exact, breaker trips and recovers,
-# replay oracle within 5%; see DESIGN.md §12.3), then one short
-# saturated pimdl-sim -live -live-chaos run that writes a metrics
-# snapshot, validated for the pimdl_live_* series. CI uploads the
-# snapshot as an artifact.
+# chaos-smoke exercises the serving runtime end to end under the race
+# detector: first every serving test 20 times at GOMAXPROCS 1, 2 and 8
+# (the chaos acceptance test among them — saturated run with a mid-run
+# fault storm, conservation exact, breaker trips and recovers, replay
+# oracle within 5%; see DESIGN.md §12.3), then one short saturated
+# pimdl-sim -live -live-chaos run that writes a metrics snapshot,
+# validated for the pimdl_live_* series. CI uploads the snapshot as an
+# artifact.
 chaos-smoke:
-	$(GO) test -race ./internal/serving/live/ \
-		-run 'ChaosSaturationAcceptance|ReplayOracleHealthy' -v -timeout 600s
+	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/serving/... -timeout 600s
 	$(GO) run -race ./cmd/pimdl-sim -n 64 -h 32 -f 64 -v 4 -ct 8 \
 		-live -live-requests 600 -live-chaos \
 		-fault-dead 0.1 -fault-flip 0.9 -fault-seed 7 \
@@ -140,8 +140,8 @@ convert-smoke:
 		-timeout 600s
 
 # trace-smoke exercises the request-scoped tracing layer end to end:
-# first the tracing oracles under the race detector (server spans
-# reconcile against recorded latencies, exemplar slots resolve, the
+# first the tracing oracles under the race detector (RunDeterministic
+# spans reconcile against recorded latencies, exemplar slots resolve, the
 # Perfetto spans track keeps its pinned event counts), then one
 # pimdl-trace chaos run — itself built with -race — which refuses to
 # print a report unless every kept trace's per-phase seconds sum to its

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/autotuner"
@@ -17,13 +16,12 @@ import (
 	"repro/internal/trace"
 )
 
-// liveConfig is the validated -live flag set: a concurrent serving run
-// of the tuned operator instead of a single execution.
+// liveConfig is the validated -live flag set: a serving run of the
+// tuned operator instead of a single execution.
 type liveConfig struct {
 	server    live.Config
 	rate      float64 // req/s; 0 = auto (1.5× the tuned batch capacity)
 	requests  int
-	scale     float64 // virtual seconds per wall second
 	burst     float64 // MMPP burst factor; 0 disables
 	zipf      float64 // Zipf exponent; 0 disables the kind mix
 	chaos     bool    // mid-run fault storm from the -fault-* plan
@@ -33,10 +31,9 @@ type liveConfig struct {
 // liveFlags registers the -live* flags and returns a builder that
 // validates them into a liveConfig (nil when -live was not given).
 func liveFlags(fs *flag.FlagSet) func(faults pim.FaultPlan) (*liveConfig, error) {
-	on := fs.Bool("live", false, "run the live concurrent serving runtime instead of one execution")
+	on := fs.Bool("live", false, "run the live serving runtime instead of one execution")
 	rate := fs.Float64("live-rate", 0, "open-loop arrival rate in req/s (0 = 1.5x the tuned capacity)")
 	requests := fs.Int("live-requests", 2000, "number of requests to generate")
-	scale := fs.Float64("live-scale", 0, "virtual seconds simulated per wall second (0 = auto from the modelled batch latency)")
 	queue := fs.Int("live-queue", 1024, "admission queue capacity")
 	shed := fs.String("live-shed", "reject", "load-shedding policy: reject, block, degrade")
 	deadline := fs.Float64("live-deadline", 0.3, "per-request deadline in virtual seconds (0 = none)")
@@ -59,7 +56,6 @@ func liveFlags(fs *flag.FlagSet) func(faults pim.FaultPlan) (*liveConfig, error)
 		lc := &liveConfig{
 			rate:      *rate,
 			requests:  *requests,
-			scale:     *scale,
 			burst:     *burst,
 			zipf:      *zipf,
 			chaos:     *chaos,
@@ -95,9 +91,6 @@ func liveFlags(fs *flag.FlagSet) func(faults pim.FaultPlan) (*liveConfig, error)
 		}
 		if lc.rate < 0 {
 			return nil, fmt.Errorf("-live-rate must be non-negative, got %g", lc.rate)
-		}
-		if lc.scale < 0 {
-			return nil, fmt.Errorf("-live-scale must be non-negative, got %g", lc.scale)
 		}
 		if lc.burst < 0 {
 			return nil, fmt.Errorf("-live-burst: MMPP burst factor %g must be non-negative", lc.burst)
@@ -216,26 +209,8 @@ func runLive(cfg *simConfig, out io.Writer) error {
 		rate = 1.5 * capacity
 	}
 	horizon := float64(lc.requests) / rate
-	scale := lc.scale
-	//pimdl:lint-ignore float-compare flag default 0 is the exact "auto" sentinel, never a computed value
-	if scale == 0 {
-		// Auto-scale so a full batch maps to ~5 ms of wall time: short
-		// enough that a run takes a fraction of a second, long enough that
-		// Go timer overhead stays small next to the modelled latencies
-		// (which is what keeps the replay oracle's gap meaningful).
-		scale = math.Max(1, pimLat(maxB)/0.005)
-	}
-	stdout.printf("\nLive serving on %s: %d requests at %.1f req/s (capacity ~%.1f req/s), %.3g virtual s at %.3gx wall speed\n",
-		plat.Name, lc.requests, rate, capacity, horizon, scale)
-
-	clock, err := live.NewScaledClock(scale)
-	if err != nil {
-		return err
-	}
-	srv, err := live.NewServer(lc.server, clock, pimBE, hostBE)
-	if err != nil {
-		return err
-	}
+	stdout.printf("\nLive serving on %s: %d requests at %.1f req/s (capacity ~%.1f req/s), %.3g virtual s\n",
+		plat.Name, lc.requests, rate, capacity, horizon)
 
 	spec := live.LoadSpec{Rate: rate, Requests: lc.requests, Seed: cfg.seed}
 	if lc.burst > 0 {
@@ -281,7 +256,7 @@ func runLive(cfg *simConfig, out io.Writer) error {
 			cfg.faults.DeadPEFraction, cfg.faults.FlipRate, cfg.faults.StragglerSpread)
 	}
 
-	res, err := live.RunScenario(srv, arrivals, sched)
+	res, err := live.RunDeterministic(lc.server, pimBE, hostBE, arrivals, sched, nil)
 	if err != nil {
 		return err
 	}
@@ -298,7 +273,7 @@ func runLive(cfg *simConfig, out io.Writer) error {
 	if cfg.shard != nil {
 		stdout.printf("  cluster: %d tiles served off their preferred replica (failovers)\n", sum.Failovers)
 	}
-	br := srv.Breaker()
+	br := res.Breaker
 	if lc.server.Breaker.Enabled() {
 		stdout.printf("  breaker: %d trips, %d recoveries, final state %v | host-served requests %d\n",
 			br.Trips(), br.Recoveries(), br.State(), sum.HostServed)

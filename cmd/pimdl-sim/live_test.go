@@ -21,7 +21,7 @@ func TestParseLiveFlagsValidation(t *testing.T) {
 	}{
 		{"live-defaults", []string{"-live"}, ""},
 		{"live-all-flags", []string{"-live", "-live-rate", "100", "-live-requests", "50",
-			"-live-scale", "20", "-live-queue", "32", "-live-shed", "degrade",
+			"-live-queue", "32", "-live-shed", "degrade",
 			"-live-deadline", "0.5", "-live-retries", "1", "-live-backoff", "0.02",
 			"-live-batch", "8", "-live-wait", "0.005", "-live-burst", "3",
 			"-live-zipf", "1.4", "-live-breaker-window", "4"}, ""},
@@ -29,7 +29,6 @@ func TestParseLiveFlagsValidation(t *testing.T) {
 		{"live-breaker-off", []string{"-live", "-live-breaker-window", "0"}, ""},
 		{"bad-shed", []string{"-live", "-live-shed", "panic"}, "-live-shed"},
 		{"negative-rate", []string{"-live", "-live-rate", "-5"}, "-live-rate"},
-		{"negative-scale", []string{"-live", "-live-scale", "-1"}, "-live-scale"},
 		{"zero-requests", []string{"-live", "-live-requests", "0"}, "request count"},
 		{"negative-deadline", []string{"-live", "-live-deadline", "-0.1"}, "Deadline"},
 		{"negative-retries", []string{"-live", "-live-retries", "-1"}, "MaxRetries"},
@@ -79,25 +78,32 @@ func TestLiveFlagsOffByDefault(t *testing.T) {
 
 // TestRunLiveEndToEnd drives the full -live CLI path on a small shape:
 // tune, serve a saturating load with a mid-run fault storm, and report
-// conserved accounting, breaker activity and the replay oracle.
+// conserved accounting, breaker activity and the replay oracle. Two
+// runs with the same flags print byte-identical output.
 func TestRunLiveEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("tunes a mapping space and runs a scaled-time serving run")
+		t.Skip("tunes a mapping space and runs a serving run twice")
 	}
 	tracePath := filepath.Join(t.TempDir(), "live.json")
 	args := []string{"-n", "64", "-h", "32", "-f", "64", "-v", "4", "-ct", "8",
 		"-live", "-live-requests", "600", "-live-deadline", "0.3",
 		"-live-chaos", "-fault-dead", "0.1", "-fault-flip", "0.9", "-fault-seed", "7",
 		"-live-trace", tracePath}
-	cfg, err := parseFlags(args, new(bytes.Buffer))
-	if err != nil {
-		t.Fatal(err)
+	runOnce := func() string {
+		cfg, err := parseFlags(args, new(bytes.Buffer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(cfg, &out); err != nil {
+			t.Fatalf("runLive: %v\n%s", err, out.String())
+		}
+		return out.String()
 	}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("runLive: %v\n%s", err, out.String())
+	got := runOnce()
+	if again := runOnce(); again != got {
+		t.Fatalf("two identical -live runs printed different output:\n%s\n--- vs ---\n%s", got, again)
 	}
-	got := out.String()
 	for _, want := range []string{
 		"Live serving on UPMEM", "conservation checked", "breaker:",
 		"Chaos: fault storm", "Replay oracle", "wrote live trace to " + tracePath,

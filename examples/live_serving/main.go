@@ -1,4 +1,4 @@
-// Live serving: run BERT-base behind the concurrent serving runtime —
+// Live serving: run BERT-base behind the live serving runtime —
 // bursty Zipf-mixed traffic, continuous batching, deadlines, and a
 // mid-run fault storm that trips the circuit breaker onto the host
 // fallback until the array heals. The offline simulator then replays
@@ -99,15 +99,6 @@ func main() {
 		Robust:   serving.Robustness{Deadline: 5 * lat16, MaxRetries: 2, Backoff: 0.1 * lat16},
 		Breaker:  live.BreakerConfig{Window: 6, MinSamples: 3, TripRatio: 0.5, Cooldown: 1.5 * lat16},
 	}
-	clock, err := live.NewScaledClock(lat16 / 0.005) // full batch ≈ 5 ms wall
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := live.NewServer(cfg, clock, pimBE, hostBE)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	spec := live.LoadSpec{
 		Rate:     rate,
 		Burst:    &live.MMPP{BurstFactor: 2, MeanCalm: horizon / 6, MeanBurst: horizon / 24},
@@ -129,7 +120,7 @@ func main() {
 	fmt.Printf("bursty MMPP(x2) arrivals, Zipf(1.3) request mix, deadline %.3gs, fault storm over t=[%.3g, %.3g]s\n\n",
 		cfg.Robust.Deadline, sched[0].At, sched[1].At)
 
-	res, err := live.RunScenario(srv, arrivals, sched)
+	res, err := live.RunDeterministic(cfg, pimBE, hostBE, arrivals, sched, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +132,7 @@ func main() {
 		sum.Served, sum.Degraded, sum.ShedQueue, sum.Timeouts, sum.Failures, sum.Submitted)
 	fmt.Printf("primary lane: %d batches, %d attempts (%d retries, %d DMA retries), %d host-served\n",
 		sum.Batches, sum.Attempts, sum.Retries, sum.DMARetries, sum.HostServed)
-	br := srv.Breaker()
+	br := res.Breaker
 	fmt.Printf("breaker: %d trips, %d recoveries, final state %v\n", br.Trips(), br.Recoveries(), br.State())
 
 	fmt.Println("\ntimeline:")

@@ -18,12 +18,12 @@
 //   - Dependency-free and race-safe. Only the standard library (and
 //     internal/metrics for the pimdl_obs_* self-accounting series) is
 //     imported; every Tracer and Trace method is safe for concurrent
-//     use, so the live server's dispatcher, degrade workers and chaos
-//     controller can all touch the same trace set under -race.
+//     use, so callers on different goroutines can share one trace set
+//     under -race.
 //
-//   - Deterministic under the virtual clock. Timestamps are the
-//     runtime's virtual seconds (live.ScaledClock or the deterministic
-//     scenario runner), trace IDs are splitmix64 of (seed, request ID),
+//   - Deterministic under the virtual clock. Timestamps are the serving
+//     runtime's virtual seconds (live.RunDeterministic), trace IDs are
+//     splitmix64 of (seed, request ID),
 //     and the sampling decision is a pure function of the trace ID — a
 //     fixed seed reproduces the same sampled set byte for byte.
 //

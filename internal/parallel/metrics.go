@@ -16,7 +16,6 @@ var poolMetrics = struct {
 	chunks    *metrics.Counter
 	helpers   *metrics.Counter
 	saturated *metrics.Counter
-	group     *metrics.Gauge
 }{}
 
 func init() {
@@ -38,18 +37,7 @@ func init() {
 		"idle pool workers that accepted a job offer")
 	m.saturated = r.NewCounter("pimdl_parallel_saturated_offers_total",
 		"job offers abandoned because no worker was idle (caller degraded to fewer helpers)")
-	m.group = r.NewGauge("pimdl_parallel_group_goroutines",
-		"long-lived goroutines currently supervised by parallel.Group")
 }
-
-// groupEnter/groupExit bracket one supervised goroutine's lifetime.
-// Unlike the gated hot-path helpers these record unconditionally: the
-// gauge tracks goroutine lifecycles (a handful per server run), not
-// per-dispatch events, and a leak should be visible even when recording
-// was toggled off mid-run.
-func groupEnter() { poolMetrics.group.Add(1) }
-
-func groupExit() { poolMetrics.group.Add(-1) }
 
 // recordDispatch folds one parallel dispatch: its chunk count, how many
 // helpers joined, and whether the offer loop hit a saturated pool.

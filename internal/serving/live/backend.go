@@ -49,9 +49,8 @@ type Outcome struct {
 }
 
 // Backend executes one batch attempt and reports its modelled latency
-// and verification outcome. Implementations are called only from the
-// dispatcher goroutine, but SetPlan-style mutation may arrive
-// concurrently from the chaos controller.
+// and verification outcome. Implementations lock their mutable state,
+// so Execute and SetPlan-style mutation are safe from any goroutine.
 type Backend interface {
 	Name() string
 	// Execute runs one attempt for a batch of size requests totalling
@@ -107,7 +106,7 @@ func NewPIMBackend(plat *pim.Platform, w pim.Workload, m pim.Mapping, model serv
 // Name implements Backend.
 func (b *PIMBackend) Name() string { return "pim" }
 
-// SetPlan swaps the active fault plan (chaos controller).
+// SetPlan swaps the active fault plan (chaos schedule).
 func (b *PIMBackend) SetPlan(plan pim.FaultPlan) {
 	b.mu.Lock()
 	b.plan = plan

@@ -86,7 +86,7 @@ func (c BreakerConfig) Validate() error {
 
 // Breaker is the circuit breaker guarding the PIM backend. Route and
 // Record are called by the dispatcher; State, Trips and Recoveries are
-// safe to read from any goroutine (metrics, chaos assertions).
+// safe to read from any goroutine.
 type Breaker struct {
 	cfg        BreakerConfig
 	onChange   func(now float64, from, to BreakerState)

@@ -2,10 +2,7 @@ package live
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
-	"repro/internal/parallel"
 	"repro/internal/pim"
 )
 
@@ -53,7 +50,7 @@ func (cs ChaosSchedule) Validate() error {
 	return nil
 }
 
-// ChaosTarget is the mutation surface the chaos controller drives: any
+// ChaosTarget is the mutation surface a chaos schedule drives: any
 // primary backend whose fault plan can be swapped mid-run. *PIMBackend
 // and *ShardedPIMBackend implement it.
 type ChaosTarget interface {
@@ -67,88 +64,12 @@ type ShardChaosTarget interface {
 	SetShardDown(id int, down bool)
 }
 
-// RunChaos plays the schedule against the backend in (scaled) real
-// time, recording each change on the recorder's timeline. Run it on its
-// own goroutine; it returns after the last event fires. Shard kill
-// events against a non-sharded target are a validation error surfaced
-// by RunScenario; here they are ignored.
-func RunChaos(clock *ScaledClock, be ChaosTarget, rec *Recorder, sched ChaosSchedule) {
-	events := append(ChaosSchedule(nil), sched...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	for _, ev := range events {
-		if d := ev.At - clock.Now(); d > 0 {
-			clock.Sleep(d)
-		}
-		if sct, ok := be.(ShardChaosTarget); ok && ev.shardOps() {
-			for _, s := range ev.KillShards {
-				sct.SetShardDown(s, true)
-			}
-			for _, s := range ev.ReviveShards {
-				sct.SetShardDown(s, false)
-			}
-		}
-		be.SetPlan(ev.Plan)
-		note := ev.Note
-		if note == "" {
-			note = fmt.Sprintf("dead=%.2f flip=%.2f straggler=%.2f",
-				ev.Plan.DeadPEFraction, ev.Plan.FlipRate, ev.Plan.StragglerSpread)
-		}
-		if ev.shardOps() {
-			var ops []string
-			if len(ev.KillShards) > 0 {
-				ops = append(ops, fmt.Sprintf("kill-shards=%v", ev.KillShards))
-			}
-			if len(ev.ReviveShards) > 0 {
-				ops = append(ops, fmt.Sprintf("revive-shards=%v", ev.ReviveShards))
-			}
-			note = note + " " + strings.Join(ops, " ")
-		}
-		if rec != nil {
-			rec.AddEvent(Event{At: clock.Now(), Kind: "chaos", Note: note})
-		}
-	}
-}
-
-// ChaosResult bundles what a chaos run produced.
+// ChaosResult bundles what a run produced.
 type ChaosResult struct {
 	Recorder *Recorder
 	Summary  Summary
 	Admitted int
-}
-
-// RunScenario wires one complete live run: start the server, drive the
-// load schedule and the chaos schedule concurrently, then drain. This
-// is the harness the chaos tests, pimdl-sim -live and the examples
-// share.
-func RunScenario(s *Server, arrivals []Arrival, sched ChaosSchedule) (*ChaosResult, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, err
-	}
-	var chaosTarget ChaosTarget
-	if len(sched) > 0 {
-		be, ok := s.pimBE.(ChaosTarget)
-		if !ok {
-			return nil, fmt.Errorf("live: chaos schedule needs a ChaosTarget backend, have %T", s.pimBE)
-		}
-		for _, ev := range sched {
-			if ev.shardOps() {
-				if _, ok := be.(ShardChaosTarget); !ok {
-					return nil, fmt.Errorf("live: shard-kill chaos events need a sharded backend, have %T", s.pimBE)
-				}
-				break
-			}
-		}
-		chaosTarget = be
-	}
-	s.Start()
-	res := &ChaosResult{Recorder: s.Recorder()}
-	var g parallel.Group
-	if chaosTarget != nil {
-		g.Go(func() { RunChaos(s.Clock(), chaosTarget, s.Recorder(), sched) })
-	}
-	res.Admitted = Drive(s.Clock(), s, arrivals)
-	g.Wait()
-	s.Drain()
-	res.Summary = s.Recorder().Summary()
-	return res, nil
+	// Breaker is the run's circuit breaker, in its final state (a
+	// disabled breaker reports BreakerClosed and no transitions).
+	Breaker *Breaker
 }

@@ -8,30 +8,24 @@ import (
 	"repro/internal/obs"
 )
 
-// RunDeterministic replays a live scenario as a single-goroutine
-// discrete-event simulation in pure virtual time, mirroring the
-// concurrent Server's semantics step for step: the same admission and
-// shed policies, the same continuous-batching rules (MaxBatch /
+// RunDeterministic serves a scenario as a single-goroutine
+// discrete-event simulation in pure virtual time. It applies the
+// admission and shed policies, continuous batching (MaxBatch /
 // MaxBatchRows / MaxWait with leftover carry-over), dispatch-time
 // deadline shedding with top-up, breaker-routed attempts with
-// retry/backoff against the same Backend implementations, chaos plan
-// swaps at their scheduled times, and the degrade lane as a bank of
-// virtual workers.
+// retry/backoff against the Backend implementations, chaos plan swaps
+// and shard kills at their scheduled times, and the degrade lane as a
+// bank of virtual workers.
 //
-// Where the real Server's timestamps carry wall-clock jitter (goroutine
-// scheduling under the ScaledClock), this runner's timestamps are exact
-// functions of the inputs — two runs with the same configuration,
-// arrivals, schedule and seeds produce byte-identical recorders,
-// metrics and span traces. It is how pimdl-trace gets a reproducible
-// attribution report; the chaos tests keep exercising the concurrent
-// server, whose traces reconcile but whose latencies jitter.
+// Every timestamp is an exact function of the inputs: two runs with the
+// same configuration, arrivals, schedule and seeds produce
+// byte-identical recorders, metrics and span traces. pimdl-sim -live,
+// pimdl-trace and the benchmark's serve workload all run on it.
 //
-// Two deliberate simplifications, both conservative: ShedBlock admits
-// without bound (a blocked Submit in the live server parks the
-// submitter, not the request — the arrival stamp and everything
-// downstream are identical), and a batch whose formation window
-// outlives the final arrival still closes at the window's end rather
-// than at queue close.
+// ShedBlock admits without bound: backpressure parks the submitter, not
+// the request, so the arrival stamp and everything downstream are those
+// of an unbounded queue. A batch whose formation window outlives the
+// final arrival still closes at the window's end.
 func RunDeterministic(cfg Config, pimBE, hostBE Backend, arrivals []Arrival, sched ChaosSchedule, tracer *obs.Tracer) (*ChaosResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -81,15 +75,18 @@ func RunDeterministic(cfg Config, pimBE, hostBE Backend, arrivals []Arrival, sch
 	sort.SliceStable(d.arrivals, func(i, j int) bool { return d.arrivals[i].At < d.arrivals[j].At })
 	sort.SliceStable(d.sched, func(i, j int) bool { return d.sched[i].At < d.sched[j].At })
 	var err error
+	// The callback captures the recorder, not d: the returned Breaker
+	// must not keep the runner's queues and requests alive.
+	rec := d.rec
 	d.breaker, err = NewBreaker(cfg.Breaker, func(now float64, from, to BreakerState) {
-		d.rec.AddEvent(Event{At: now, Kind: "breaker", Note: from.String() + "→" + to.String()})
+		rec.AddEvent(Event{At: now, Kind: "breaker", Note: from.String() + "→" + to.String()})
 		recordBreaker(from, to)
 	})
 	if err != nil {
 		return nil, err
 	}
 	d.run()
-	return &ChaosResult{Recorder: d.rec, Summary: d.rec.Summary(), Admitted: d.admitted}, nil
+	return &ChaosResult{Recorder: d.rec, Summary: d.rec.Summary(), Admitted: d.admitted, Breaker: d.breaker}, nil
 }
 
 // detRunner is the single-goroutine event simulation's state.
@@ -128,8 +125,7 @@ func (d *detRunner) run() {
 	for {
 		first, t0 := d.nextFirst()
 		if first == nil {
-			// Late chaos events still land on the timeline, as the live
-			// chaos goroutine would fire them before drain.
+			// Late chaos events still land on the timeline.
 			d.applyChaos(math.Inf(1))
 			return
 		}
@@ -144,7 +140,7 @@ func (d *detRunner) run() {
 }
 
 // admitUntil processes every arrival with At ≤ t through admission, in
-// order — the virtual Submit.
+// order.
 func (d *detRunner) admitUntil(t float64) {
 	for d.ai < len(d.arrivals) && d.arrivals[d.ai].At <= t {
 		d.admit(d.arrivals[d.ai])
@@ -152,8 +148,8 @@ func (d *detRunner) admitUntil(t float64) {
 	}
 }
 
-// admit is Submit's deterministic twin: stamp, trace, then apply the
-// shed policy against the modelled queue occupancies.
+// admit stamps and traces one arrival, then applies the shed policy
+// against the modelled queue occupancies.
 func (d *detRunner) admit(a Arrival) *Request {
 	rows := a.Rows
 	if rows <= 0 {
@@ -170,8 +166,8 @@ func (d *detRunner) admit(a Arrival) *Request {
 	}
 	switch d.cfg.Shed {
 	case ShedBlock:
-		// The live server parks the submitter until space frees; the
-		// request itself always lands with its original arrival stamp.
+		// Backpressure parks the submitter, not the request: it always
+		// lands with its original arrival stamp.
 	case ShedReject:
 		if len(d.waiting) >= d.cfg.QueueCap {
 			shed()
@@ -259,18 +255,18 @@ func (d *detRunner) nextFirst() (*Request, float64) {
 		if d.ai >= len(d.arrivals) {
 			return nil, 0
 		}
-		// Idle server: advance to the next arrival and admit it (it can
-		// still spill to the degrade lane under ShedDegrade's queue-full
-		// race only in the live server; here an empty queue always admits).
+		// Idle server: advance to the next arrival and admit it (an
+		// empty queue always admits).
 		d.admit(d.arrivals[d.ai])
 		d.ai++
 	}
 }
 
-// formBatch is fill's deterministic twin: starting from first at t0, it
-// merges queued requests and future arrivals until the batch budget,
-// the shape budget (overflow returned as leftover) or the wait budget
-// (first.Arrival + MaxWait) is exhausted. tClose is the dispatch time.
+// formBatch forms one batch by continuous batching: starting from
+// first at t0, it merges queued requests and future arrivals until the
+// batch budget, the shape budget (overflow returned as leftover, to
+// lead the next batch) or the wait budget (first.Arrival + MaxWait) is
+// exhausted. tClose is the dispatch time.
 func (d *detRunner) formBatch(first *Request, t0 float64) (batch []*Request, leftover *Request, tClose float64) {
 	batch = []*Request{first}
 	rows := first.Rows
@@ -313,9 +309,10 @@ func (d *detRunner) formBatch(first *Request, t0 float64) (batch []*Request, lef
 	return batch, nil, tClose
 }
 
-// shedAndTopUp mirrors the server's dispatch-time deadline pass at now
-// = tClose: expired requests are shed as timeouts and the holes
-// refilled from the queue up to the budgets.
+// shedAndTopUp is the dispatch-time deadline pass at now = tClose:
+// expired requests are shed as timeouts and the holes refilled from
+// the queue up to the budgets, so a wave of timeouts does not waste a
+// dispatch on a nearly empty batch.
 func (d *detRunner) shedAndTopUp(batch []*Request, leftover *Request, now float64) ([]*Request, *Request) {
 	deadline := d.cfg.Robust.Deadline
 	expired := func(r *Request) bool { return deadline > 0 && now >= r.Arrival+deadline }
@@ -353,8 +350,8 @@ func (d *detRunner) shedAndTopUp(batch []*Request, leftover *Request, now float6
 	return kept, leftover
 }
 
-// applyChaos applies every scheduled event with At ≤ t, mirroring the
-// chaos goroutine's plan swaps and shard kills.
+// applyChaos applies every scheduled event with At ≤ t: shard kills
+// and revives, then the plan swap.
 func (d *detRunner) applyChaos(t float64) {
 	for d.si < len(d.sched) && d.sched[d.si].At <= t {
 		ev := d.sched[d.si]
@@ -380,7 +377,8 @@ func (d *detRunner) applyChaos(t float64) {
 }
 
 // executeBatch runs one shedded batch to a terminal state in virtual
-// time — the server's attempt loop with exact timestamps.
+// time: execute with retry/backoff, routing each attempt through the
+// circuit breaker.
 func (d *detRunner) executeBatch(batch []*Request, start float64) {
 	observeLiveQueue(len(d.waiting))
 	now := start
@@ -452,8 +450,7 @@ func (d *detRunner) executeBatch(batch []*Request, start float64) {
 	d.serverFree = now
 }
 
-// route picks the backend for one attempt via the breaker, mirroring
-// Server.routeAttempt.
+// route picks the backend for one attempt via the breaker.
 func (d *detRunner) route(now float64) (Backend, bool) {
 	if d.host == nil || !d.cfg.Breaker.Enabled() {
 		return d.pim, true

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pim"
 	"repro/internal/serving"
@@ -20,7 +21,7 @@ func detScenario(t *testing.T, shedPolicy ShedPolicy, queueCap int) (Config, []A
 		Policy:   serving.Policy{MaxBatch: 16, MaxWait: 0.01},
 		QueueCap: queueCap,
 		Shed:     shedPolicy,
-		Robust: serving.Robustness{Deadline: 1.0, MaxRetries: 2, Backoff: 0.01},
+		Robust:   serving.Robustness{Deadline: 1.0, MaxRetries: 2, Backoff: 0.01},
 		// The short cooldown makes the breaker half-open-probe during the
 		// storm: probe batches fail on PIM and retry onto the host, which
 		// is what puts retry blame into served traces.
@@ -62,9 +63,8 @@ func detTracer(t *testing.T, capacity int) *obs.Tracer {
 	return tc
 }
 
-// TestRunDeterministicConservation: the deterministic runner obeys the
-// same accounting identity as the live server, and the storm actually
-// exercises retries and the breaker.
+// TestRunDeterministicConservation: the runner obeys the accounting
+// identity, and the storm actually exercises retries and the breaker.
 func TestRunDeterministicConservation(t *testing.T) {
 	cfg, arrivals, sched := detScenario(t, ShedReject, 1536)
 	pimBE, hostBE := detBackends(t)
@@ -89,7 +89,7 @@ func TestRunDeterministicConservation(t *testing.T) {
 
 // TestRunDeterministicByteIdentical: two runs from identical inputs
 // produce identical recorders and identical attribution reports — the
-// property the concurrent server cannot give and pimdl-trace needs.
+// property pimdl-trace needs.
 func TestRunDeterministicByteIdentical(t *testing.T) {
 	run := func() (*ChaosResult, []byte) {
 		cfg, arrivals, sched := detScenario(t, ShedReject, 96)
@@ -125,22 +125,28 @@ func TestRunDeterministicByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAttributionReconciles is the PR's acceptance
-// invariant: for every sampled request of a seeded chaos run, the
-// per-phase attribution sums to the recorder's own latency within 1e-9.
-func TestRunDeterministicAttributionReconciles(t *testing.T) {
-	cfg, arrivals, sched := detScenario(t, ShedReject, 96)
-	pimBE, hostBE := detBackends(t)
-	tc := detTracer(t, 8192)
-	res, err := RunDeterministic(cfg, pimBE, hostBE, arrivals, sched, tc)
-	if err != nil {
-		t.Fatal(err)
+// assertTracesReconcile checks the tracing invariants of one traced
+// run: every arrival starts a trace and every trace reaches a terminal;
+// every record resolves to a kept trace that reconciles, and its
+// per-phase attribution sums to the recorder's own latency within
+// obs.ReconcileTolerance; and every latency exemplar holding one of
+// this run's trace IDs resolves in this run's ring.
+func assertTracesReconcile(t *testing.T, tc *obs.Tracer, res *ChaosResult, arrivals int) {
+	t.Helper()
+	st := tc.Stats()
+	if st.Started != int64(arrivals) {
+		t.Fatalf("tracer started %d traces for %d arrivals", st.Started, arrivals)
+	}
+	if st.Finished != st.Started {
+		t.Fatalf("tracer finished %d of %d traces — a span path never reached a terminal", st.Finished, st.Started)
 	}
 	checked := 0
+	ours := map[uint64]bool{}
 	for _, rec := range res.Recorder.Records() {
 		if rec.TraceID == 0 {
 			t.Fatalf("record %d has no trace ID with SampleRate 1 and an undersized ring not in play", rec.ID)
 		}
+		ours[rec.TraceID] = true
 		tr := tc.Lookup(rec.TraceID)
 		if tr == nil {
 			t.Fatalf("record %d trace %016x does not resolve", rec.ID, rec.TraceID)
@@ -162,6 +168,40 @@ func TestRunDeterministicAttributionReconciles(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no completed requests checked")
 	}
+	// Exemplar resolution: the slots are process-global and latest-wins,
+	// and a rerun writes the same IDs, so judge only the slots holding
+	// one of this run's trace IDs — each must resolve in this run's ring.
+	if metrics.Enabled() {
+		resolved := 0
+		for bucket, id := range liveMetrics.latency.Exemplars() {
+			if !ours[id] {
+				continue
+			}
+			if tc.Lookup(id) == nil {
+				t.Errorf("latency bucket %s exemplar %016x does not resolve", bucket, id)
+			}
+			resolved++
+		}
+		if resolved == 0 {
+			t.Error("a served-heavy run left no latency exemplar of its own")
+		}
+	}
+}
+
+// TestRunDeterministicAttributionReconciles is the tracing invariant:
+// every arrival starts a trace and every trace reaches a terminal; for
+// every sampled request of a seeded chaos run, the per-phase
+// attribution sums to the recorder's own latency within 1e-9; and every
+// latency exemplar the run wrote resolves to a kept trace.
+func TestRunDeterministicAttributionReconciles(t *testing.T) {
+	cfg, arrivals, sched := detScenario(t, ShedReject, 96)
+	pimBE, hostBE := detBackends(t)
+	tc := detTracer(t, 8192)
+	res, err := RunDeterministic(cfg, pimBE, hostBE, arrivals, sched, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTracesReconcile(t, tc, res, len(arrivals))
 	// The storm + deep-retry scenario must surface retry and backoff
 	// blame somewhere in the report's tail.
 	rep, err := obs.BuildReport(tc, nil, 5)

@@ -9,21 +9,10 @@ import (
 	"repro/internal/serving"
 )
 
-// testClock returns a fast clock for accounting-oriented tests: the
-// latency numbers below are virtual seconds, compressed ~100× on the
-// wall so a multi-second scenario runs in tens of milliseconds.
-func testClock(t *testing.T) *ScaledClock {
-	t.Helper()
-	c, err := NewScaledClock(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // fakeBackend is a scripted backend: fail decides each attempt's
-// verification outcome (nil = always OK). The attempt counter is global
-// across the backend, matching the dispatcher's serialized calls.
+// verification outcome by its attempt index (nil = always OK). The
+// attempt counter is global across the backend, matching the
+// dispatcher's serialized calls.
 type fakeBackend struct {
 	name  string
 	model serving.LatencyModel
@@ -50,33 +39,33 @@ func (f *fakeBackend) Execute(size, rows int) Outcome {
 
 func constModel(c float64) serving.LatencyModel { return func(int) float64 { return c } }
 
-// mustServer builds and validates a server.
-func mustServer(t *testing.T, cfg Config, clock *ScaledClock, pimBE, hostBE Backend) *Server {
+// mustRun serves arrivals under the chaos schedule with RunDeterministic,
+// untraced.
+func mustRun(t *testing.T, cfg Config, pimBE, hostBE Backend, arrivals []Arrival, sched ChaosSchedule) *ChaosResult {
 	t.Helper()
-	s, err := NewServer(cfg, clock, pimBE, hostBE)
+	res, err := RunDeterministic(cfg, pimBE, hostBE, arrivals, sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return res
 }
 
-// submitN pushes n single-row requests back-to-back (no pacing), which
-// overloads any server whose service time is non-zero.
-func submitN(s *Server, n int) int {
-	admitted := 0
-	for i := 0; i < n; i++ {
-		if s.Submit(0, 1) {
-			admitted++
-		}
+// burstAt0 is n requests of the given row count all arriving at t=0
+// (no pacing), which overloads any server whose service time is
+// non-zero.
+func burstAt0(n, rows int) []Arrival {
+	out := make([]Arrival, n)
+	for i := range out {
+		out[i] = Arrival{Rows: rows}
 	}
-	return admitted
+	return out
 }
 
 // checkConservation asserts the accounting identity and returns the
 // summary.
-func checkConservation(t *testing.T, s *Server, submitted int) Summary {
+func checkConservation(t *testing.T, res *ChaosResult, submitted int) Summary {
 	t.Helper()
-	sum := s.Recorder().Summary()
+	sum := res.Summary
 	if sum.Submitted != submitted {
 		t.Fatalf("summary saw %d submissions, want %d", sum.Submitted, submitted)
 	}
@@ -123,60 +112,56 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestNewServerRequirements: the constructor enforces its dependencies.
-func TestNewServerRequirements(t *testing.T) {
-	clock := testClock(t)
+// TestRunDeterministicRequirements: the driver enforces its
+// dependencies before serving anything.
+func TestRunDeterministicRequirements(t *testing.T) {
 	pim := &fakeBackend{name: "pim", model: constModel(0.01)}
 	cfg := Config{
 		Policy:   serving.Policy{MaxBatch: 4, MaxWait: 0.01},
 		QueueCap: 8,
 		Robust:   serving.Robustness{MaxRetries: 1},
 	}
-	if _, err := NewServer(cfg, nil, pim, nil); err == nil {
-		t.Fatal("nil clock accepted")
-	}
-	if _, err := NewServer(cfg, clock, nil, nil); err == nil {
+	if _, err := RunDeterministic(cfg, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("nil PIM backend accepted")
 	}
 	degrade := cfg
 	degrade.Shed = ShedDegrade
-	if _, err := NewServer(degrade, clock, pim, nil); err == nil {
+	if _, err := RunDeterministic(degrade, pim, nil, nil, nil, nil); err == nil {
 		t.Fatal("ShedDegrade without host backend accepted")
 	}
 	breaker := cfg
 	breaker.Breaker = BreakerConfig{Window: 4, TripRatio: 0.5}
-	if _, err := NewServer(breaker, clock, pim, nil); err == nil {
+	if _, err := RunDeterministic(breaker, pim, nil, nil, nil, nil); err == nil {
 		t.Fatal("breaker without host backend accepted")
+	}
+	sched := ChaosSchedule{{At: 0.1, Note: "storm"}}
+	if _, err := RunDeterministic(cfg, pim, nil, nil, sched, nil); err == nil {
+		t.Fatal("chaos schedule accepted by a backend that is not a ChaosTarget")
 	}
 }
 
 // TestServeAllUnderCapacity: a tame load is fully served in arrival
 // order with exact accounting.
 func TestServeAllUnderCapacity(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
-		Policy:   serving.Policy{MaxBatch: 8, MaxWait: 0.005},
-		QueueCap: 64,
-		Shed:     ShedBlock,
-		Robust:   serving.Robustness{MaxRetries: 1},
-	}, clock, &fakeBackend{name: "pim", model: constModel(0.002)}, nil)
-	s.Start()
-
 	arrivals, err := LoadSpec{Rate: 200, Requests: 100, Seed: 3}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted := Drive(clock, s, arrivals)
-	s.Drain()
+	res := mustRun(t, Config{
+		Policy:   serving.Policy{MaxBatch: 8, MaxWait: 0.005},
+		QueueCap: 64,
+		Shed:     ShedBlock,
+		Robust:   serving.Robustness{MaxRetries: 1},
+	}, &fakeBackend{name: "pim", model: constModel(0.002)}, nil, arrivals, nil)
 
-	sum := checkConservation(t, s, 100)
-	if admitted != 100 || sum.Served != 100 {
-		t.Fatalf("admitted %d served %d, want 100/100", admitted, sum.Served)
+	sum := checkConservation(t, res, 100)
+	if res.Admitted != 100 || sum.Served != 100 {
+		t.Fatalf("admitted %d served %d, want 100/100", res.Admitted, sum.Served)
 	}
 	if sum.Batches == 0 || sum.Attempts != sum.Batches {
 		t.Fatalf("batches %d attempts %d: no retries expected", sum.Batches, sum.Attempts)
 	}
-	for _, rec := range s.Recorder().Records() {
+	for _, rec := range res.Recorder.Records() {
 		if rec.Done < rec.Start || rec.Start < rec.Arrival {
 			t.Fatalf("record %d has incoherent times: %+v", rec.ID, rec)
 		}
@@ -186,70 +171,59 @@ func TestServeAllUnderCapacity(t *testing.T) {
 // TestShedReject: a full queue under burst load drops at the door, and
 // every drop is accounted.
 func TestShedReject(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 4, MaxWait: 0.001},
 		QueueCap: 4,
 		Shed:     ShedReject,
 		Robust:   serving.Robustness{MaxRetries: 1},
-	}, clock, &fakeBackend{name: "pim", model: constModel(0.05)}, nil)
-	s.Start()
-	admitted := submitN(s, 60)
-	s.Drain()
+	}, &fakeBackend{name: "pim", model: constModel(0.05)}, nil, burstAt0(60, 1), nil)
 
-	sum := checkConservation(t, s, 60)
+	sum := checkConservation(t, res, 60)
 	if sum.ShedQueue == 0 {
 		t.Fatal("burst past a 4-deep queue shed nothing")
 	}
-	if admitted+sum.ShedQueue != 60 {
-		t.Fatalf("admitted %d + shed %d != 60", admitted, sum.ShedQueue)
+	if res.Admitted+sum.ShedQueue != 60 {
+		t.Fatalf("admitted %d + shed %d != 60", res.Admitted, sum.ShedQueue)
 	}
-	if sum.Served != admitted {
-		t.Fatalf("served %d, want the %d admitted", sum.Served, admitted)
+	if sum.Served != res.Admitted {
+		t.Fatalf("served %d, want the %d admitted", sum.Served, res.Admitted)
 	}
 }
 
 // TestShedBlock: backpressure admits everything; the same burst is fully
 // served with zero drops.
 func TestShedBlock(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 4, MaxWait: 0.001},
 		QueueCap: 2,
 		Shed:     ShedBlock,
 		Robust:   serving.Robustness{MaxRetries: 1},
-	}, clock, &fakeBackend{name: "pim", model: constModel(0.02)}, nil)
-	s.Start()
-	admitted := submitN(s, 40)
-	s.Drain()
+	}, &fakeBackend{name: "pim", model: constModel(0.02)}, nil, burstAt0(40, 1), nil)
 
-	sum := checkConservation(t, s, 40)
-	if admitted != 40 || sum.Served != 40 || sum.ShedQueue != 0 {
-		t.Fatalf("block policy: admitted %d served %d shed %d, want 40/40/0", admitted, sum.Served, sum.ShedQueue)
+	sum := checkConservation(t, res, 40)
+	if res.Admitted != 40 || sum.Served != 40 || sum.ShedQueue != 0 {
+		t.Fatalf("block policy: admitted %d served %d shed %d, want 40/40/0", res.Admitted, sum.Served, sum.ShedQueue)
 	}
 }
 
 // TestShedDegrade: overflow spills to the host-served degrade lane.
 func TestShedDegrade(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:         serving.Policy{MaxBatch: 4, MaxWait: 0.001},
 		QueueCap:       2,
 		Shed:           ShedDegrade,
 		DegradeWorkers: 2,
 		Robust:         serving.Robustness{MaxRetries: 1},
-	}, clock,
+	},
 		&fakeBackend{name: "pim", model: constModel(0.05)},
-		&fakeBackend{name: "host", model: constModel(0.01)})
-	s.Start()
-	submitN(s, 60)
-	s.Drain()
+		&fakeBackend{name: "host", model: constModel(0.01)},
+		burstAt0(60, 1), nil)
 
-	sum := checkConservation(t, s, 60)
+	sum := checkConservation(t, res, 60)
 	if sum.Degraded == 0 {
 		t.Fatal("overflow never reached the degrade lane")
 	}
-	for _, rec := range s.Recorder().Records() {
+	for _, rec := range res.Recorder.Records() {
 		if rec.Outcome == OutcomeDegraded && rec.Backend != "host" {
 			t.Fatalf("degraded request served by %q", rec.Backend)
 		}
@@ -259,26 +233,22 @@ func TestShedDegrade(t *testing.T) {
 // TestDeadlineTimeouts: requests whose deadline passes while queued are
 // shed at dispatch, never served.
 func TestDeadlineTimeouts(t *testing.T) {
-	clock := testClock(t)
 	deadline := 0.08
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 1, MaxWait: 0.001},
 		QueueCap: 64,
 		Shed:     ShedBlock,
 		Robust:   serving.Robustness{Deadline: deadline, MaxRetries: 1},
-	}, clock, &fakeBackend{name: "pim", model: constModel(0.04)}, nil)
-	s.Start()
-	submitN(s, 30)
-	s.Drain()
+	}, &fakeBackend{name: "pim", model: constModel(0.04)}, nil, burstAt0(30, 1), nil)
 
-	sum := checkConservation(t, s, 30)
+	sum := checkConservation(t, res, 30)
 	if sum.Timeouts == 0 {
 		t.Fatalf("30 back-to-back 40ms jobs against an 80ms deadline timed out nothing: %+v", sum)
 	}
 	if sum.Served == 0 {
 		t.Fatalf("nothing served: %+v", sum)
 	}
-	for _, rec := range s.Recorder().Records() {
+	for _, rec := range res.Recorder.Records() {
 		if rec.Outcome == OutcomeServed && rec.Start >= rec.Arrival+deadline {
 			t.Fatalf("request %d started %.3f after its deadline", rec.ID, rec.Start-rec.Arrival-deadline)
 		}
@@ -288,29 +258,25 @@ func TestDeadlineTimeouts(t *testing.T) {
 // TestRetryBudget: a permanently failing backend burns the retry budget
 // and fails every batch with exact attempt accounting.
 func TestRetryBudget(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 1, MaxWait: 0.001},
 		QueueCap: 8,
 		Shed:     ShedBlock,
 		Robust:   serving.Robustness{MaxRetries: 2, Backoff: 0.001},
-	}, clock, &fakeBackend{
+	}, &fakeBackend{
 		name:  "pim",
 		model: constModel(0.002),
 		fail:  func(int64) bool { return true },
-	}, nil)
-	s.Start()
-	submitN(s, 5)
-	s.Drain()
+	}, nil, burstAt0(5, 1), nil)
 
-	sum := checkConservation(t, s, 5)
+	sum := checkConservation(t, res, 5)
 	if sum.Failures != 5 || sum.Served != 0 {
 		t.Fatalf("failures %d served %d, want 5/0", sum.Failures, sum.Served)
 	}
 	if sum.Batches != 5 || sum.Attempts != 15 || sum.Retries != 10 {
 		t.Fatalf("batches/attempts/retries = %d/%d/%d, want 5/15/10", sum.Batches, sum.Attempts, sum.Retries)
 	}
-	for _, b := range s.Recorder().Batches() {
+	for _, b := range res.Recorder.Batches() {
 		if !b.Failed || b.Attempts != 3 {
 			t.Fatalf("batch %+v, want 3 attempts and Failed", b)
 		}
@@ -320,22 +286,18 @@ func TestRetryBudget(t *testing.T) {
 // TestRetryRecovers: a transient failure is retried and the batch still
 // completes.
 func TestRetryRecovers(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 1, MaxWait: 0.001},
 		QueueCap: 8,
 		Shed:     ShedBlock,
 		Robust:   serving.Robustness{MaxRetries: 2, Backoff: 0.001},
-	}, clock, &fakeBackend{
+	}, &fakeBackend{
 		name:  "pim",
 		model: constModel(0.002),
 		fail:  func(a int64) bool { return a == 0 }, // first attempt only
-	}, nil)
-	s.Start()
-	submitN(s, 4)
-	s.Drain()
+	}, nil, burstAt0(4, 1), nil)
 
-	sum := checkConservation(t, s, 4)
+	sum := checkConservation(t, res, 4)
 	if sum.Served != 4 || sum.Failures != 0 {
 		t.Fatalf("served %d failures %d, want 4/0", sum.Served, sum.Failures)
 	}
@@ -347,25 +309,21 @@ func TestRetryRecovers(t *testing.T) {
 // TestShapeBudget: MaxBatchRows caps the rows a batch carries; the
 // overflowing request leads the next batch instead of being dropped.
 func TestShapeBudget(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:       serving.Policy{MaxBatch: 16, MaxWait: 0.001},
 		MaxBatchRows: 8,
 		QueueCap:     64,
 		Shed:         ShedBlock,
 		Robust:       serving.Robustness{MaxRetries: 1},
-	}, clock, &fakeBackend{name: "pim", model: constModel(0.01)}, nil)
-	s.Start()
-	for i := 0; i < 30; i++ {
-		s.Submit(0, 3) // 3 rows each: at most 2 per batch under an 8-row budget
-	}
-	s.Drain()
+	}, &fakeBackend{name: "pim", model: constModel(0.01)}, nil,
+		burstAt0(30, 3), // 3 rows each: at most 2 per batch under an 8-row budget
+		nil)
 
-	sum := checkConservation(t, s, 30)
+	sum := checkConservation(t, res, 30)
 	if sum.Served != 30 {
 		t.Fatalf("served %d, want 30", sum.Served)
 	}
-	for _, b := range s.Recorder().Batches() {
+	for _, b := range res.Recorder.Batches() {
 		if b.Rows > 8 {
 			t.Fatalf("batch carries %d rows past the 8-row budget", b.Rows)
 		}
@@ -383,32 +341,26 @@ func TestShapeBudget(t *testing.T) {
 // once PIM heals — the tentpole state machine end to end, on a
 // deterministic fake.
 func TestBreakerTripsToHostAndRecovers(t *testing.T) {
-	clock := testClock(t)
-	// PIM fails verification during the virtual window [0.5, 1.5].
+	// PIM fails verification on its attempts 20..27: two failures trip
+	// the breaker at about t=0.85, and each half-open probe that follows
+	// spends one more failing attempt, so the outage lasts about 1.4
+	// virtual seconds of the 4-second load.
 	pim := &fakeBackend{name: "pim", model: constModel(0.02)}
-	pim.fail = func(int64) bool {
-		now := clock.Now()
-		return now >= 0.5 && now < 1.5
+	pim.fail = func(a int64) bool { return a >= 20 && a < 28 }
+	arrivals, err := LoadSpec{Rate: 40, Requests: 160, Seed: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := mustServer(t, Config{
+	res := mustRun(t, Config{
 		Policy:   serving.Policy{MaxBatch: 2, MaxWait: 0.005},
 		QueueCap: 32,
 		Shed:     ShedBlock,
 		Robust:   serving.Robustness{MaxRetries: 0},
 		Breaker:  BreakerConfig{Window: 2, MinSamples: 2, TripRatio: 1, Cooldown: 0.15},
-	}, clock,
-		pim, &fakeBackend{name: "host", model: constModel(0.02)})
-	s.Start()
+	}, pim, &fakeBackend{name: "host", model: constModel(0.02)}, arrivals, nil)
 
-	arrivals, err := LoadSpec{Rate: 40, Requests: 160, Seed: 8}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	Drive(clock, s, arrivals)
-	s.Drain()
-
-	sum := checkConservation(t, s, 160)
-	br := s.Breaker()
+	sum := checkConservation(t, res, 160)
+	br := res.Breaker
 	if br.Trips() < 1 {
 		t.Fatalf("breaker never tripped: %+v", sum)
 	}
@@ -426,7 +378,7 @@ func TestBreakerTripsToHostAndRecovers(t *testing.T) {
 	}
 	// The timeline carries the transitions in order.
 	var breakerEvents int
-	for _, ev := range s.Recorder().Events() {
+	for _, ev := range res.Recorder.Events() {
 		if ev.Kind == "breaker" {
 			breakerEvents++
 		}
@@ -443,35 +395,30 @@ func TestLiveMetricsMatchRecorder(t *testing.T) {
 	if !metrics.Enabled() {
 		t.Skip("metrics disabled via PIMDL_METRICS")
 	}
-	clock := testClock(t)
-	// Deep queue + tight deadline: queued requests can wait far past the
-	// deadline (timeouts), sustained 2.5× overload eventually fills both
-	// lanes (sheds, degrades), and the scripted failure pairs exercise
-	// the retry and budget-burnt paths.
-	s := mustServer(t, Config{
-		Policy:         serving.Policy{MaxBatch: 4, MaxWait: 0.002},
-		QueueCap:       64,
-		Shed:           ShedDegrade,
-		DegradeWorkers: 1,
-		Robust:         serving.Robustness{Deadline: 0.05, MaxRetries: 1, Backoff: 0.002},
-	}, clock,
-		&fakeBackend{
-			name:  "pim",
-			model: constModel(0.02),
-			fail:  func(a int64) bool { return a%7 <= 1 },
-		},
-		&fakeBackend{name: "host", model: constModel(0.03)})
-
+	// Tight deadline: queued requests wait past it (timeouts), sustained
+	// 2.5× overload fills both 16-deep lanes (sheds, degrades), and the
+	// scripted failure pairs exercise the retry and budget-burnt paths.
 	arrivals, err := LoadSpec{Rate: 500, Requests: 300, Seed: 21}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum Summary
 	d := metricsDelta(func() {
-		s.Start()
-		Drive(clock, s, arrivals)
-		s.Drain()
-		sum = checkConservation(t, s, 300)
+		res := mustRun(t, Config{
+			Policy:         serving.Policy{MaxBatch: 4, MaxWait: 0.002},
+			QueueCap:       16,
+			Shed:           ShedDegrade,
+			DegradeWorkers: 1,
+			Robust:         serving.Robustness{Deadline: 0.05, MaxRetries: 1, Backoff: 0.002},
+		},
+			&fakeBackend{
+				name:  "pim",
+				model: constModel(0.02),
+				fail:  func(a int64) bool { return a%7 <= 1 },
+			},
+			&fakeBackend{name: "host", model: constModel(0.03)},
+			arrivals, nil)
+		sum = checkConservation(t, res, 300)
 	})
 
 	// The scenario must exercise every path it claims to pin.

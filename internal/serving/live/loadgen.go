@@ -205,21 +205,3 @@ func (ls LoadSpec) nextBoundary(t, nextSwitch float64) float64 {
 	}
 	return b
 }
-
-// Drive submits the schedule to the server in real (scaled) time: it
-// sleeps to each arrival's virtual timestamp and calls Submit. It
-// returns the number of requests the server admitted. Run it on its own
-// goroutine (e.g. a parallel.Group); Drain the server only after Drive
-// returns.
-func Drive(clock *ScaledClock, s *Server, arrivals []Arrival) int {
-	admitted := 0
-	for _, a := range arrivals {
-		if d := a.At - clock.Now(); d > 0 {
-			clock.Sleep(d)
-		}
-		if s.Submit(a.Kind, a.Rows) {
-			admitted++
-		}
-	}
-	return admitted
-}

@@ -26,7 +26,7 @@ func init() {
 	r := metrics.Default()
 	m := &liveMetrics
 	m.submitted = r.NewCounter("pimdl_live_submitted_total",
-		"requests offered to the live server")
+		"requests offered to the serving runtime")
 	m.outcomes = r.NewCounterFamily("pimdl_live_requests_total",
 		"terminal request outcomes (served, degraded, shed, timeout, failed)", "outcome")
 	m.expired = r.NewCounter("pimdl_live_expired_total",

@@ -10,7 +10,7 @@ import (
 )
 
 // OutcomeKind is the terminal state of one submitted request. Every
-// Submit produces exactly one record with exactly one OutcomeKind — the
+// arrival produces exactly one record with exactly one OutcomeKind — the
 // conservation law the chaos tests pin (Conservation).
 type OutcomeKind int
 

@@ -16,7 +16,7 @@ import (
 // sub-LUT ranges, and every batch attempt is evaluated against the
 // cluster's routing and timing model under the active fault plan and
 // shard up/down state. Per-PE faults degrade individual shards; whole
-// shards die via SetShardDown (the chaos controller's KillShards); a
+// shards die via SetShardDown (a chaos event's KillShards); a
 // batch attempt only fails outright when either the DMA retry budget
 // runs out somewhere (residual corruption, as on the single array) or
 // every replica of some LUT range is lost (shard.ErrAllReplicasLost) —
@@ -87,14 +87,14 @@ func clusterSubPhases(ct *shard.ClusterTiming, latency float64) []SubPhase {
 // of the breaker's pim-vs-host routing.
 func (b *ShardedPIMBackend) Name() string { return "pim" }
 
-// SetPlan swaps the active fault plan (chaos controller).
+// SetPlan swaps the active fault plan (chaos schedule).
 func (b *ShardedPIMBackend) SetPlan(plan pim.FaultPlan) {
 	b.mu.Lock()
 	b.plan = plan
 	b.mu.Unlock()
 }
 
-// SetShardDown marks one shard dead or revived (chaos controller).
+// SetShardDown marks one shard dead or revived (chaos schedule).
 func (b *ShardedPIMBackend) SetShardDown(id int, down bool) {
 	b.mu.Lock()
 	b.state.SetDown(id, down)

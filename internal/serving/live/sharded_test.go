@@ -70,12 +70,8 @@ func TestShardedBackendOutcomes(t *testing.T) {
 
 // shardChaosScenario builds the shard-kill storm: sustained load, one
 // shard killed mid-run (replicas cover it), then revived.
-func shardChaosScenario(t *testing.T, sched ChaosSchedule, requests int) (*Server, []Arrival) {
+func shardChaosScenario(t *testing.T, sched ChaosSchedule, requests int) *ChaosResult {
 	t.Helper()
-	clock, err := NewScaledClock(20)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pimBE := newTestShardedBackend(t)
 	hostBE, err := NewHostBackend(func(b int) float64 { return 0.04 + 0.004*float64(b) })
 	if err != nil {
@@ -88,18 +84,14 @@ func shardChaosScenario(t *testing.T, sched ChaosSchedule, requests int) (*Serve
 		Robust:   serving.Robustness{Deadline: 4.0, MaxRetries: 2, Backoff: 0.01},
 		Breaker:  BreakerConfig{Window: 6, MinSamples: 3, TripRatio: 0.5, Cooldown: 1.5},
 	}
-	s := mustServer(t, cfg, clock, pimBE, hostBE)
 	arrivals, err := LoadSpec{Rate: 300, Requests: requests, Seed: 41}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return s, arrivals
+	return mustRun(t, cfg, pimBE, hostBE, arrivals, sched)
 }
 
-// TestShardKillChaosFailover is the ISSUE 8 acceptance storm, run under
+// TestShardKillChaosFailover is the shard-kill acceptance storm, run under
 // -race by make shard-smoke: a shard dies mid-storm and its tiles fail
 // over to replicas. Every request is conserved, failovers are recorded,
 // and the breaker stays closed the whole run — replica failover absorbs
@@ -109,12 +101,8 @@ func TestShardKillChaosFailover(t *testing.T) {
 		{At: 3, KillShards: []int{2}, Note: "kill shard 2"},
 		{At: 9, ReviveShards: []int{2}, Note: "revive shard 2"},
 	}
-	s, arrivals := shardChaosScenario(t, sched, 4000)
-	res, err := RunScenario(s, arrivals, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := checkConservation(t, s, len(arrivals))
+	res := shardChaosScenario(t, sched, 4000)
+	sum := checkConservation(t, res, 4000)
 	if res.Admitted+sum.ShedQueue != sum.Submitted {
 		t.Fatalf("admitted %d + shed %d != submitted %d", res.Admitted, sum.ShedQueue, sum.Submitted)
 	}
@@ -133,7 +121,7 @@ func TestShardKillChaosFailover(t *testing.T) {
 	}
 	// Breaker discipline: one dead shard out of four with 2 replicas is
 	// absorbed — every attempt verified OK, the breaker never opened.
-	br := s.Breaker()
+	br := res.Breaker
 	if br.Trips() != 0 {
 		t.Fatalf("breaker tripped %d times during a survivable shard loss", br.Trips())
 	}
@@ -163,13 +151,9 @@ func TestShardKillChaosBreakerTrip(t *testing.T) {
 		{At: 3, KillShards: []int{2, 3}, Note: "kill shards 2+3 (range 2 fully lost)"},
 		{At: 9, ReviveShards: []int{2, 3}, Note: "revive"},
 	}
-	s, arrivals := shardChaosScenario(t, sched, 4000)
-	res, err := RunScenario(s, arrivals, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := checkConservation(t, s, len(arrivals))
-	br := s.Breaker()
+	res := shardChaosScenario(t, sched, 4000)
+	sum := checkConservation(t, res, 4000)
+	br := res.Breaker
 	if br.Trips() < 1 {
 		t.Fatalf("breaker never tripped with a fully lost range (attempts %d)", sum.Attempts)
 	}
@@ -195,19 +179,18 @@ func TestShardKillChaosBreakerTrip(t *testing.T) {
 	}
 }
 
-// TestRunScenarioRejectsShardEventsOnFlatBackend: shard-kill events
-// against a non-sharded backend are a configuration error, not a
-// silent no-op.
-func TestRunScenarioRejectsShardEventsOnFlatBackend(t *testing.T) {
-	clock := testClock(t)
-	s := mustServer(t, Config{
+// TestRunDeterministicRejectsShardEventsOnFlatBackend: shard-kill
+// events against a non-sharded backend are a configuration error, not
+// a silent no-op.
+func TestRunDeterministicRejectsShardEventsOnFlatBackend(t *testing.T) {
+	cfg := Config{
 		Policy:   serving.Policy{MaxBatch: 8, MaxWait: 0.01},
 		QueueCap: 64,
 		Shed:     ShedReject,
 		Robust:   serving.Robustness{Deadline: 1, MaxRetries: 1, Backoff: 0.01},
-	}, clock, newTestPIMBackend(t), nil)
+	}
 	sched := ChaosSchedule{{At: 0.1, KillShards: []int{1}}}
-	if _, err := RunScenario(s, nil, sched); err == nil {
+	if _, err := RunDeterministic(cfg, newTestPIMBackend(t), nil, nil, sched, nil); err == nil {
 		t.Fatal("shard-kill schedule accepted by a flat PIM backend")
 	}
 }

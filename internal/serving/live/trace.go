@@ -2,18 +2,16 @@ package live
 
 import "repro/internal/obs"
 
-// Span plumbing shared by the concurrent Server and the deterministic
-// scenario runner. Each request carries its trace and the ID of its
-// currently open phase span (queue while waiting for pickup, batch
-// while waiting for dispatch); the helpers below move it through the
-// lifecycle and keep the phase segments non-overlapping, which is what
-// the attribution invariant (obs.Reconcile) rests on. Every helper is
-// a no-op for an untraced request, so the instrumented paths cost a
-// nil check when tracing is off.
+// Span plumbing of RunDeterministic. Each request carries its trace and
+// the ID of its currently open phase span (queue while waiting for
+// pickup, batch while waiting for dispatch); the helpers below move it
+// through the lifecycle and keep the phase segments non-overlapping,
+// which is what the attribution invariant (obs.Reconcile) rests on.
+// Every helper is a no-op for an untraced request, so the instrumented
+// paths cost a nil check when tracing is off.
 
 // traceSubmit opens the request's trace and its queue span at arrival.
-// Must run before the request is enqueued — the dispatcher may pick it
-// up immediately.
+// Must run before the request is enqueued.
 func traceSubmit(tc *obs.Tracer, r *Request) {
 	r.span = obs.NoSpan
 	r.tr = tc.Start(r.ID, r.Arrival)

@@ -1,103 +1,36 @@
 package live
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// TestServerTracingReconciles runs the concurrent server through a
-// fault-storm scenario with a tracer attached and checks the tentpole
-// invariants on the real goroutine paths (this is the -race coverage of
-// the span plumbing): every submission starts a trace, every kept trace
-// reconciles, every completion's per-phase breakdown sums to the
-// recorder's own latency within tolerance, and every latency exemplar
-// the run wrote resolves to a kept trace.
+// TestServerTracingReconciles runs the serving loop through the
+// fault-storm scenario with a queue deep enough that almost nothing is
+// shed, so the traces are dominated by the served paths (batching,
+// retries, breaker diversion to the host), and checks the tracing
+// invariants on them: the run conserves requests, every arrival's trace
+// starts and finishes, every record's per-phase breakdown sums to its
+// recorded latency, every exemplar the run wrote resolves, and the
+// attribution report builds from the same tracer.
 func TestServerTracingReconciles(t *testing.T) {
 	cfg, arrivals, sched := detScenario(t, ShedReject, 1536)
 	arrivals = arrivals[:1500]
-	clock, err := NewScaledClock(40)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pimBE, hostBE := detBackends(t)
-	s, err := NewServer(cfg, clock, pimBE, hostBE)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tc := detTracer(t, 1<<14)
-	s.SetTracer(tc)
-
-	// Exemplar slots are process-global and latest-wins; remember the
-	// pre-run values so only slots this run wrote are asserted on.
-	before := liveMetrics.latency.Exemplars()
-
-	res, err := RunScenario(s, arrivals, sched)
+	res, err := RunDeterministic(cfg, pimBE, hostBE, arrivals, sched, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Summary.Conservation(); err != nil {
 		t.Fatal(err)
 	}
+	if res.Summary.Served == 0 || res.Summary.ShedQueue > res.Summary.Served {
+		t.Fatalf("deep-queue run is not served-heavy: %+v", res.Summary)
+	}
+	assertTracesReconcile(t, tc, res, len(arrivals))
 
-	st := tc.Stats()
-	if st.Started != int64(len(arrivals)) {
-		t.Fatalf("tracer started %d traces for %d submissions", st.Started, len(arrivals))
-	}
-	if st.Finished != st.Started {
-		t.Fatalf("tracer finished %d of %d traces — a span path never reached a terminal", st.Finished, st.Started)
-	}
-
-	checked := 0
-	for _, rec := range res.Recorder.Records() {
-		if rec.TraceID == 0 {
-			t.Fatalf("record %d unsampled at SampleRate 1 with an oversized ring", rec.ID)
-		}
-		tr := tc.Lookup(rec.TraceID)
-		if tr == nil {
-			t.Fatalf("record %d trace %016x does not resolve", rec.ID, rec.TraceID)
-		}
-		if err := obs.Reconcile(tr); err != nil {
-			t.Fatal(err)
-		}
-		if lat := rec.Latency(); lat > 0 {
-			var sum float64
-			for _, secs := range obs.Breakdown(tr) {
-				sum += secs
-			}
-			if d := math.Abs(sum - lat); d > obs.ReconcileTolerance {
-				t.Fatalf("record %d (%s): attribution %.12g != recorded latency %.12g (|Δ|=%.3g)",
-					rec.ID, rec.Outcome, sum, lat, d)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no completed requests checked")
-	}
-
-	// Exemplar resolution: every latency bucket this run stamped must
-	// link back to a trace the ring kept.
-	if metrics.Enabled() {
-		changed := 0
-		for bucket, id := range liveMetrics.latency.Exemplars() {
-			if before[bucket] == id {
-				continue
-			}
-			changed++
-			if tc.Lookup(id) == nil {
-				t.Errorf("latency bucket %s exemplar %016x does not resolve", bucket, id)
-			}
-		}
-		if changed == 0 {
-			t.Error("a served-heavy run wrote no latency exemplars")
-		}
-	}
-
-	// The report builds off the live tracer too (not just the
-	// deterministic runner's) — storm scenarios must show retry blame.
 	rep, err := obs.BuildReport(tc, nil, 3)
 	if err != nil {
 		t.Fatal(err)

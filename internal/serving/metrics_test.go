@@ -62,6 +62,7 @@ func TestServingMetricsMatchTrace(t *testing.T) {
 	rob := Robustness{Deadline: 0.05, FailRate: 0.2, MaxRetries: 2, Backoff: 0.005, Seed: 7}
 
 	var tr *Trace
+	sumBefore := servingMetrics.latency.Sum()
 	d := metricsDelta(func() {
 		var err error
 		tr, err = SimulateRobust(arr, lat, Policy{MaxBatch: 8, MaxWait: 0.02}, rob)
@@ -86,11 +87,15 @@ func TestServingMetricsMatchTrace(t *testing.T) {
 	if got := d["pimdl_serving_latency_seconds_count"]; got != float64(len(tr.Completions)) {
 		t.Fatalf("latency histogram count %g, want %d", got, len(tr.Completions))
 	}
-	var sum float64
+	// The registry is process-global, so under -count=N the sum already
+	// holds earlier runs' latencies and after−before would cancel away
+	// low bits. Accumulating onto the pre-run value in observation order
+	// is exactly the histogram's own arithmetic.
+	sum := sumBefore
 	for _, c := range tr.Completions {
 		sum += c.Latency()
 	}
-	if got := d["pimdl_serving_latency_seconds_sum"]; math.Abs(got-sum) > 1e-9 {
+	if got := servingMetrics.latency.Sum(); math.Abs(got-sum) > 1e-9 {
 		t.Fatalf("latency histogram sum %g, want %g", got, sum)
 	}
 	if got := d["pimdl_serving_batch_size_count"]; got != float64(tr.Batches) {
