@@ -114,15 +114,16 @@ shard-smoke:
 		shard-snapshot.json
 
 # decode-smoke runs the KV-cached decode fastpath's bit-exactness
-# oracles under the race detector: cached == uncached Generate token for
-# token, single-row CCS/gather == the batch kernels, DecodeBatch == solo
-# sessions, the pimdl_decode_* series deltas, and the dense row kernel
+# oracles under the race detector: Infer == Forward bit for bit (the
+# one trunk over plain and taped ops), cached == uncached Generate token
+# for token, single-row CCS/gather == the batch kernels, DecodeBatch ==
+# solo sessions, the pimdl_decode_* series deltas, and the dense row kernel
 # (tensor.MatVecTInto, also under MatMulTInto's parallel split) == its
 # scalar oracle bit for bit. Decode speed is measured by the
 # benchmark's decode workload (make benchmark). See DESIGN.md §14.
 decode-smoke:
 	$(GO) test -race ./internal/nn/ ./internal/lutnn/ ./internal/tensor/ \
-		-run 'GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|SearchRow|DecodeLookupRow|ForwardRow|BitIdenticalToOracle|ShapeMismatchPanics' \
+		-run 'InferMatchesForward|GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|SearchRow|DecodeLookupRow|ForwardRow|BitIdenticalToOracle|ShapeMismatchPanics' \
 		-v -timeout 600s
 
 # convert-smoke runs the LUT-NN conversion's bit-exactness oracles under

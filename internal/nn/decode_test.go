@@ -284,6 +284,154 @@ func TestDecodeSessionValidation(t *testing.T) {
 	}
 }
 
+// Generate and GenerateCached reject the same prompts: a token outside
+// the vocabulary is an error on both paths, never a panic.
+func TestGenerateRejectsOutOfVocabPrompt(t *testing.T) {
+	m := causalModel(t, 8, BackendGEMM, 119)
+	v := m.Config.Vocab
+	for _, prompt := range [][]int{{-1}, {v}, {1, 2, v + 3}} {
+		if _, err := m.Generate(prompt, 2, 0, nil); err == nil {
+			t.Errorf("Generate accepted prompt %v", prompt)
+		}
+		if _, err := m.GenerateCached(prompt, 2, 0, nil); err == nil {
+			t.Errorf("GenerateCached accepted prompt %v", prompt)
+		}
+	}
+}
+
+// A DecodeBatch.Feed rejected for one bad token must move no session:
+// not the full-window session that would rebase, nor the filling ones.
+func TestDecodeBatchFeedRejectsBeforeAdvancing(t *testing.T) {
+	m := causalModel(t, 8, BackendGEMM, 121)
+	prompts := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {2, 3}, {4}}
+	sessions := make([]*DecodeSession, len(prompts))
+	for i, p := range prompts {
+		s, err := NewDecodeSession(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	db := NewDecodeBatch(m)
+	if err := db.SetSessions(sessions); err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		seq, l int
+		logits []float32
+	}
+	snap := func() []snapshot {
+		out := make([]snapshot, len(sessions))
+		for i, s := range sessions {
+			out[i] = snapshot{len(s.seq), s.l, append([]float32(nil), s.Logits()...)}
+		}
+		return out
+	}
+	before := snap()
+	v := m.Config.Vocab
+	for _, toks := range [][]int{{3, 3, -1}, {3, v, 3}, {-1, 3, 3}} {
+		if err := db.Feed(toks); err == nil {
+			t.Fatalf("Feed(%v) accepted", toks)
+		}
+		for i, got := range snap() {
+			want := before[i]
+			if got.seq != want.seq || got.l != want.l {
+				t.Fatalf("Feed(%v) rejected but session %d moved: seq %d→%d, l %d→%d",
+					toks, i, want.seq, got.seq, want.l, got.l)
+			}
+			for j := range want.logits {
+				if math.Float32bits(got.logits[j]) != math.Float32bits(want.logits[j]) {
+					t.Fatalf("Feed(%v) rejected but session %d logit %d changed", toks, i, j)
+				}
+			}
+		}
+	}
+}
+
+// A session listed twice would be stepped twice at one position, so
+// SetSessions rejects it.
+func TestDecodeBatchRejectsDuplicateSession(t *testing.T) {
+	m := causalModel(t, 8, BackendGEMM, 123)
+	a, err := NewDecodeSession(m, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDecodeSession(m, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDecodeBatch(m)
+	if err := db.SetSessions([]*DecodeSession{a, b, a}); err == nil {
+		t.Fatal("duplicate session accepted")
+	}
+	if err := db.SetSessions([]*DecodeSession{a, b}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeFeedAllocs pins the steady-state allocations of a cached
+// step while the window fills. A solo session allocates nothing on
+// either backend. A batch of four allocates nothing on the LUT backend;
+// on GEMM the only allocation is the closure tensor.MatMulTInto hands
+// its parallel split, once per linear (the stacked step used to take 24
+// allocations on LUT and 32 on GEMM). AllocsPerRun pins GOMAXPROCS to
+// 1, so this measures the inline dispatch path.
+func TestDecodeFeedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under -race (sync.Pool drops items)")
+	}
+	const runs = 20 // +1 warm-up step, all inside the 64-row window
+	for _, bk := range []struct {
+		name     string
+		be       Backend
+		perBlock float64 // batch-4 allocations per block
+	}{{"gemm", BackendGEMM, float64(len(Roles))}, {"lut", BackendLUT, 0}} {
+		t.Run(bk.name, func(t *testing.T) {
+			m := causalModel(t, 64, bk.be, 125)
+			v := m.Config.Vocab
+			s, err := NewDecodeSession(m, []int{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tok := 0
+			solo := testing.AllocsPerRun(runs, func() {
+				tok = (tok + 1) % v
+				if err := s.Feed(tok); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if solo != 0 {
+				t.Errorf("solo Feed: %v allocs/op, want 0", solo)
+			}
+
+			var sessions []*DecodeSession
+			for _, p := range [][]int{{1}, {2, 3}, {4, 5, 6}, {7}} {
+				s, err := NewDecodeSession(m, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions = append(sessions, s)
+			}
+			db := NewDecodeBatch(m)
+			if err := db.SetSessions(sessions); err != nil {
+				t.Fatal(err)
+			}
+			toks := make([]int, len(sessions))
+			batched := testing.AllocsPerRun(runs, func() {
+				for i := range toks {
+					toks[i] = (toks[i] + i + 1) % v
+				}
+				if err := db.Feed(toks); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := bk.perBlock * float64(len(m.Blocks)); batched > want {
+				t.Errorf("batch-4 Feed: %v allocs/op, want ≤ %v", batched, want)
+			}
+		})
+	}
+}
+
 // --- pickToken coverage ----------------------------------------------------
 
 func TestPickTokenGreedyTieBreak(t *testing.T) {

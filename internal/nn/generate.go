@@ -22,17 +22,7 @@ func (m *Model) LMHeadAt(b *Batch, pos int) *tensor.Tensor {
 	if pos < 0 || pos >= c.SeqLen {
 		panic(fmt.Sprintf("nn: LMHeadAt position %d outside window [0,%d)", pos, c.SeqLen))
 	}
-	x := m.embedInfer(b)
-	for _, blk := range m.Blocks {
-		h := tensor.LayerNormRows(x, blk.LN1g.T, blk.LN1b.T, 1e-5)
-		qkv := blk.QKV.Infer(h)
-		att := inferAttention(qkv, c)
-		x = tensor.AddInPlace(blk.O.Infer(att), x)
-		h = tensor.LayerNormRows(x, blk.LN2g.T, blk.LN2b.T, 1e-5)
-		inner := tensor.GELU(blk.FFN1.Infer(h))
-		x = tensor.AddInPlace(blk.FFN2.Infer(inner), x)
-	}
-	x = tensor.LayerNormRows(x, m.FinalLNg.T, m.FinalLNb.T, 1e-5)
+	x := trunk(m, plainOps{c: c, seqLen: c.SeqLen}, m.embedInfer(b))
 	// Position pos of each sequence, projected onto the embedding table
 	// (weight tying, the standard LM head).
 	batch := b.BatchN
@@ -64,8 +54,8 @@ func (m *Model) Generate(prompt []int, steps int, temperature float64, rng *rand
 	if !c.Causal {
 		return nil, fmt.Errorf("nn: Generate requires a causal model")
 	}
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("nn: empty prompt")
+	if err := checkPrompt(prompt, c.Vocab); err != nil {
+		return nil, err
 	}
 	// One window buffer for the whole generation, maintained
 	// incrementally: append while filling, shift-by-one once full. The
@@ -91,6 +81,28 @@ func (m *Model) Generate(prompt []int, steps int, temperature float64, rng *rand
 		}
 	}
 	return out, nil
+}
+
+// checkPrompt rejects an empty prompt or one holding a token outside
+// the vocabulary [0, vocab).
+func checkPrompt(prompt []int, vocab int) error {
+	if len(prompt) == 0 {
+		return fmt.Errorf("nn: empty prompt")
+	}
+	for _, tok := range prompt {
+		if err := checkToken(tok, vocab); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkToken rejects a token outside the vocabulary [0, vocab).
+func checkToken(tok, vocab int) error {
+	if tok < 0 || tok >= vocab {
+		return fmt.Errorf("nn: token %d outside vocab [0,%d)", tok, vocab)
+	}
+	return nil
 }
 
 // pickToken selects greedily, or samples from softmax(logits/T).

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/autograd"
 	"repro/internal/tensor"
 )
 
@@ -16,35 +17,48 @@ type ActivationTap func(layer int, role LinearRole, acts *tensor.Tensor)
 // The optional tap is invoked with every convertible linear's input.
 func (m *Model) Infer(b *Batch, tap ActivationTap) *tensor.Tensor {
 	c := m.Config
-	x := m.embedInfer(b)
-	for li, blk := range m.Blocks {
-		h := tensor.LayerNormRows(x, blk.LN1g.T, blk.LN1b.T, 1e-5)
-		if tap != nil {
-			tap(li, RoleQKV, h)
-		}
-		qkv := blk.QKV.Infer(h)
-		att := inferAttention(qkv, c)
-		if tap != nil {
-			tap(li, RoleO, att)
-		}
-		x = tensor.AddInPlace(blk.O.Infer(att), x)
-
-		h = tensor.LayerNormRows(x, blk.LN2g.T, blk.LN2b.T, 1e-5)
-		if tap != nil {
-			tap(li, RoleFFN1, h)
-		}
-		inner := tensor.GELU(blk.FFN1.Infer(h))
-		if tap != nil {
-			tap(li, RoleFFN2, inner)
-		}
-		x = tensor.AddInPlace(blk.FFN2.Infer(inner), x)
-	}
-	x = tensor.LayerNormRows(x, m.FinalLNg.T, m.FinalLNb.T, 1e-5)
+	x := trunk(m, plainOps{c: c, seqLen: c.SeqLen, tap: tap}, m.embedInfer(b))
 	pooled := poolRows(x, c.SeqLen)
 	out := tensor.MatMulT(pooled, m.Head.W.T)
 	tensor.AddBias(out, m.Head.B.T)
 	return out
 }
+
+// plainOps is the plain-tensor implementation of trunkOps.
+type plainOps struct {
+	c      Config
+	seqLen int           // rows per sequence: SeqLen, or a refill's window length
+	tap    ActivationTap // optional: sees every convertible linear's input
+	kv     []kvBlock     // optional: K/V arenas each block's rows are stored into
+}
+
+func (plainOps) layerNorm(x *tensor.Tensor, gamma, beta *autograd.Value) *tensor.Tensor {
+	return tensor.LayerNormRows(x, gamma.T, beta.T, 1e-5)
+}
+
+func (o plainOps) linear(layer int, r LinearRole, l *Linear, x *tensor.Tensor) *tensor.Tensor {
+	if o.tap != nil {
+		o.tap(layer, r, x)
+	}
+	return l.Infer(x)
+}
+
+func (o plainOps) attention(layer int, qkv *tensor.Tensor) *tensor.Tensor {
+	if o.kv != nil {
+		hd := o.c.Hidden
+		kv := &o.kv[layer]
+		for i := 0; i < qkv.Dim(0); i++ {
+			row := qkv.Row(i)
+			copy(kv.k[i*hd:(i+1)*hd], row[hd:2*hd])
+			copy(kv.v[i*hd:(i+1)*hd], row[2*hd:3*hd])
+		}
+	}
+	return inferAttention(qkv, o.seqLen, o.c)
+}
+
+func (plainOps) gelu(x *tensor.Tensor) *tensor.Tensor { return tensor.GELU(x) }
+
+func (plainOps) add(x, y *tensor.Tensor) *tensor.Tensor { return tensor.AddInPlace(y, x) }
 
 func (m *Model) embedInfer(b *Batch) *tensor.Tensor {
 	c := m.Config
@@ -70,38 +84,42 @@ func (m *Model) embedInfer(b *Batch) *tensor.Tensor {
 }
 
 // inferAttention runs multi-head attention over a fused QKV matrix
-// ((batch·seq)×3H) in plain-tensor mode.
-func inferAttention(qkv *tensor.Tensor, c Config) *tensor.Tensor {
+// ((batch·seqLen)×3H) in plain-tensor mode, causally masked when the
+// model is causal. A decode refill passes its window length as seqLen:
+// rows past it in a padded window are masked to an exact +0 probability,
+// which tensor.MatMul skips, so the n-row result equals the first n rows
+// of the padded one.
+func inferAttention(qkv *tensor.Tensor, seqLen int, c Config) *tensor.Tensor {
 	n := qkv.Dim(0)
 	h := c.Hidden
-	batch := n / c.SeqLen
+	batch := n / seqLen
 	dh := h / c.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	out := tensor.New(n, h)
 	for bi := 0; bi < batch; bi++ {
 		for hd := 0; hd < c.Heads; hd++ {
-			q := tensor.New(c.SeqLen, dh)
-			k := tensor.New(c.SeqLen, dh)
-			v := tensor.New(c.SeqLen, dh)
-			for s := 0; s < c.SeqLen; s++ {
-				row := qkv.Row(bi*c.SeqLen + s)
+			q := tensor.New(seqLen, dh)
+			k := tensor.New(seqLen, dh)
+			v := tensor.New(seqLen, dh)
+			for s := 0; s < seqLen; s++ {
+				row := qkv.Row(bi*seqLen + s)
 				copy(q.Row(s), row[hd*dh:(hd+1)*dh])
 				copy(k.Row(s), row[h+hd*dh:h+(hd+1)*dh])
 				copy(v.Row(s), row[2*h+hd*dh:2*h+(hd+1)*dh])
 			}
 			scores := tensor.Scale(tensor.MatMulT(q, k), scale)
 			if c.Causal {
-				for si := 0; si < c.SeqLen; si++ {
+				for si := 0; si < seqLen; si++ {
 					row := scores.Row(si)
-					for sj := si + 1; sj < c.SeqLen; sj++ {
+					for sj := si + 1; sj < seqLen; sj++ {
 						row[sj] = -1e9
 					}
 				}
 			}
 			p := tensor.SoftmaxRows(scores)
 			o := tensor.MatMul(p, v)
-			for s := 0; s < c.SeqLen; s++ {
-				copy(out.Row(bi*c.SeqLen + s)[hd*dh:(hd+1)*dh], o.Row(s))
+			for s := 0; s < seqLen; s++ {
+				copy(out.Row(bi*seqLen + s)[hd*dh:(hd+1)*dh], o.Row(s))
 			}
 		}
 	}

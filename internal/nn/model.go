@@ -68,16 +68,39 @@ func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
 // Infer applies the layer in plain-tensor mode using the selected
 // backend. It panics if a LUT backend is selected before conversion.
 func (l *Linear) Infer(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Dim(0), l.W.T.Dim(0))
+	linearInto(l, out, x)
+	return out
+}
+
+// linearInto applies the layer to the rows of src into dst, honouring
+// the backend. One row takes the single-row kernels (tensor.MatVecTInto,
+// or lutnn's ForwardRowInto with its pruned CCS and tile-major gather);
+// more rows take the batch kernels (MatMulTInto, or the fused
+// ForwardInto). Both pairs are bit-identical row for row, and neither
+// allocates in steady state. It panics if a LUT backend is selected on
+// an unconverted layer — a construction bug SetBackend already rejects,
+// not a runtime input.
+func linearInto(l *Linear, dst, src *tensor.Tensor) {
+	one := src.Dim(0) == 1
 	switch l.Backend {
 	case BackendLUT, BackendLUTInt8:
 		if l.LUT == nil {
 			panic("nn: LUT backend selected but layer not converted")
 		}
-		return l.LUT.Forward(x)
+		if one {
+			l.LUT.ForwardRowInto(dst.Data, src.Data)
+		} else {
+			l.LUT.ForwardInto(dst, src)
+		}
 	default:
-		out := tensor.MatMulT(x, l.W.T)
-		tensor.AddBias(out, l.B.T)
-		return out
+		w := l.W.T
+		if one {
+			tensor.MatVecTInto(dst.Data, src.Data, w.Data, w.Dim(0), w.Dim(1))
+		} else {
+			tensor.MatMulTInto(dst, src, w)
+		}
+		tensor.AddBias(dst, l.B.T)
 	}
 }
 
@@ -224,30 +247,69 @@ func (m *Model) embed(b *Batch) *autograd.Value {
 	return autograd.Add(x, autograd.Embedding(m.Pos, posIDs))
 }
 
+// trunkOps is the op set the transformer trunk is written over. Two
+// implementations exist: tapeOps records autograd nodes (training and
+// eLUT-NN calibration) and plainOps runs the tensor kernels (Infer,
+// LMHeadAt and the decode refill). Both run the same op sequence, which
+// is why Forward and Infer agree bit for bit.
+type trunkOps[V any] interface {
+	layerNorm(x V, gamma, beta *autograd.Value) V
+	// linear applies block layer's linear l with role r to x.
+	linear(layer int, r LinearRole, l *Linear, x V) V
+	// attention runs multi-head attention over a fused QKV matrix.
+	attention(layer int, qkv V) V
+	gelu(x V) V
+	// add returns the residual sum x + y; an implementation may reuse
+	// y's storage.
+	add(x, y V) V
+}
+
+// trunk runs the block sequence over the embedded input x — per block
+// LN → QKV → attention → O → residual → LN → FFN1 → GELU → FFN2 →
+// residual — then the final layer norm, returning the hidden states.
+func trunk[V any](m *Model, ops trunkOps[V], x V) V {
+	for li, blk := range m.Blocks {
+		h := ops.layerNorm(x, blk.LN1g, blk.LN1b)
+		att := ops.attention(li, ops.linear(li, RoleQKV, blk.QKV, h))
+		x = ops.add(x, ops.linear(li, RoleO, blk.O, att))
+		h = ops.layerNorm(x, blk.LN2g, blk.LN2b)
+		inner := ops.gelu(ops.linear(li, RoleFFN1, blk.FFN1, h))
+		x = ops.add(x, ops.linear(li, RoleFFN2, blk.FFN2, inner))
+	}
+	return ops.layerNorm(x, m.FinalLNg, m.FinalLNb)
+}
+
+// tapeOps is the autograd implementation of trunkOps.
+type tapeOps struct{ c Config }
+
+func (tapeOps) layerNorm(x, gamma, beta *autograd.Value) *autograd.Value {
+	return autograd.LayerNorm(x, gamma, beta, 1e-5)
+}
+
+func (tapeOps) linear(_ int, _ LinearRole, l *Linear, x *autograd.Value) *autograd.Value {
+	return l.Forward(x)
+}
+
+func (o tapeOps) attention(_ int, qkv *autograd.Value) *autograd.Value {
+	h := o.c.Hidden
+	q := autograd.SliceCols(qkv, 0, h)
+	k := autograd.SliceCols(qkv, h, 2*h)
+	v := autograd.SliceCols(qkv, 2*h, 3*h)
+	if o.c.Causal {
+		return autograd.MultiHeadAttentionCausal(q, k, v, o.c.SeqLen, o.c.Heads)
+	}
+	return autograd.MultiHeadAttention(q, k, v, o.c.SeqLen, o.c.Heads)
+}
+
+func (tapeOps) gelu(x *autograd.Value) *autograd.Value { return autograd.GELU(x) }
+
+func (tapeOps) add(x, y *autograd.Value) *autograd.Value { return autograd.Add(x, y) }
+
 // HiddenStates runs the transformer trunk in autograd mode, returning the
 // final-layer-norm hidden states ((batch·seq)×H). Forward and LM-style
 // training both build on it.
 func (m *Model) HiddenStates(b *Batch) *autograd.Value {
-	c := m.Config
-	x := m.embed(b)
-	for _, blk := range m.Blocks {
-		h := autograd.LayerNorm(x, blk.LN1g, blk.LN1b, 1e-5)
-		qkv := blk.QKV.Forward(h)
-		q := autograd.SliceCols(qkv, 0, c.Hidden)
-		k := autograd.SliceCols(qkv, c.Hidden, 2*c.Hidden)
-		v := autograd.SliceCols(qkv, 2*c.Hidden, 3*c.Hidden)
-		var att *autograd.Value
-		if c.Causal {
-			att = autograd.MultiHeadAttentionCausal(q, k, v, c.SeqLen, c.Heads)
-		} else {
-			att = autograd.MultiHeadAttention(q, k, v, c.SeqLen, c.Heads)
-		}
-		x = autograd.Add(x, blk.O.Forward(att))
-
-		h = autograd.LayerNorm(x, blk.LN2g, blk.LN2b, 1e-5)
-		x = autograd.Add(x, blk.FFN2.Forward(autograd.GELU(blk.FFN1.Forward(h))))
-	}
-	return autograd.LayerNorm(x, m.FinalLNg, m.FinalLNb, 1e-5)
+	return trunk(m, tapeOps{m.Config}, m.embed(b))
 }
 
 // Forward runs the autograd forward pass, returning per-sequence logits

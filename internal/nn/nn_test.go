@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,27 +72,42 @@ func TestModelForwardShapes(t *testing.T) {
 	}
 }
 
+// assertSameBits fails unless a and b hold the same float32 values bit
+// for bit.
+func assertSameBits(t *testing.T, what string, a, b *tensor.Tensor) {
+	t.Helper()
+	if a.Size() != b.Size() {
+		t.Fatalf("%s: %d values vs %d", what, a.Size(), b.Size())
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			t.Fatalf("%s: value %d differs bitwise: %x vs %x (%g vs %g)",
+				what, i, math.Float32bits(v), math.Float32bits(b.Data[i]), v, b.Data[i])
+		}
+	}
+}
+
+// Forward and Infer run the same trunk over autograd and plain tensors,
+// so they must agree bit for bit, not just to a tolerance, causal or not.
 func TestInferMatchesForward(t *testing.T) {
-	c := Tiny(TokenInput, 6, 2)
-	m := NewModel(c, 3)
-	rng := rand.New(rand.NewSource(4))
-	b := synthTokenBatches(rng, c, 1, 3)[0]
-	ag := m.Forward(b).T
-	inf := m.Infer(b, nil)
-	if tensor.MaxAbsDiff(ag, inf) > 1e-4 {
-		t.Fatalf("Infer diverges from Forward by %g", tensor.MaxAbsDiff(ag, inf))
+	for _, causal := range []bool{false, true} {
+		c := Tiny(TokenInput, 6, 2)
+		c.Causal = causal
+		m := NewModel(c, 3)
+		rng := rand.New(rand.NewSource(4))
+		b := synthTokenBatches(rng, c, 1, 3)[0]
+		assertSameBits(t, fmt.Sprintf("causal=%v Infer vs Forward", causal), m.Infer(b, nil), m.Forward(b).T)
 	}
 }
 
 func TestInferMatchesForwardPatchInput(t *testing.T) {
-	c := Tiny(PatchInput, 5, 3)
-	m := NewModel(c, 5)
-	rng := rand.New(rand.NewSource(6))
-	b := synthPatchBatches(rng, c, 1, 3)[0]
-	ag := m.Forward(b).T
-	inf := m.Infer(b, nil)
-	if tensor.MaxAbsDiff(ag, inf) > 1e-4 {
-		t.Fatalf("Infer diverges from Forward by %g", tensor.MaxAbsDiff(ag, inf))
+	for _, causal := range []bool{false, true} {
+		c := Tiny(PatchInput, 5, 3)
+		c.Causal = causal
+		m := NewModel(c, 5)
+		rng := rand.New(rand.NewSource(6))
+		b := synthPatchBatches(rng, c, 1, 3)[0]
+		assertSameBits(t, fmt.Sprintf("causal=%v Infer vs Forward", causal), m.Infer(b, nil), m.Forward(b).T)
 	}
 }
 
@@ -440,11 +456,10 @@ func TestCausalModelTrains(t *testing.T) {
 	if acc := m.Accuracy(test); acc < 0.75 {
 		t.Fatalf("causal model failed to learn: %.2f", acc)
 	}
-	// Infer must match Forward under the causal mask too.
+	// Infer must match Forward bit for bit under the causal mask too,
+	// on trained weights.
 	b := test[0]
-	if tensor.MaxAbsDiff(m.Forward(b).T, m.Infer(b, nil)) > 1e-4 {
-		t.Fatal("causal Infer diverges from Forward")
-	}
+	assertSameBits(t, "trained causal Infer vs Forward", m.Infer(b, nil), m.Forward(b).T)
 }
 
 func TestGenerateShapeAndDeterminism(t *testing.T) {

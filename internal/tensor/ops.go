@@ -100,17 +100,27 @@ func LayerNormRows(a, gamma, beta *Tensor, eps float32) *Tensor {
 	if a.Rank() != 2 {
 		panic("tensor: LayerNormRows requires rank-2 tensor")
 	}
-	m, n := a.Dim(0), a.Dim(1)
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		LayerNormRowInto(out.Data[i*n:(i+1)*n], a.Data[i*n:(i+1)*n], gamma.Data, beta.Data, eps)
-	}
+	out := New(a.Dim(0), a.Dim(1))
+	LayerNormRowsInto(out, a, gamma, beta, eps)
 	return out
 }
 
-// LayerNormRowInto layer-normalizes one row into dst (same length as
-// src; may alias). Shared by LayerNormRows and the decode fastpath.
-func LayerNormRowInto(dst, src, gamma, beta []float32, eps float32) {
+// LayerNormRowsInto is LayerNormRows into caller-owned dst, which may
+// alias a. The decode fastpath reuses its dst across steps. It panics
+// if a is not rank-2 or dst does not have a's shape.
+func LayerNormRowsInto(dst, a, gamma, beta *Tensor, eps float32) {
+	if a.Rank() != 2 || dst.Rank() != 2 || dst.Dim(0) != a.Dim(0) || dst.Dim(1) != a.Dim(1) {
+		panic("tensor: LayerNormRowsInto shape mismatch")
+	}
+	m, n := a.Dim(0), a.Dim(1)
+	for i := 0; i < m; i++ {
+		layerNormRowInto(dst.Data[i*n:(i+1)*n], a.Data[i*n:(i+1)*n], gamma.Data, beta.Data, eps)
+	}
+}
+
+// layerNormRowInto layer-normalizes one row into dst (same length as
+// src; may alias).
+func layerNormRowInto(dst, src, gamma, beta []float32, eps float32) {
 	n := len(src)
 	var mean float32
 	for _, v := range src {

@@ -166,6 +166,28 @@ func TestSoftmaxRowsStableForLargeInputs(t *testing.T) {
 	}
 }
 
+func TestLayerNormRowsIntoMatchesLayerNormRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := RandN(rng, 1, 3, 8)
+	gamma, beta := RandN(rng, 1, 8), RandN(rng, 1, 8)
+	want := LayerNormRows(a, gamma, beta, 1e-5)
+	dst := New(3, 8)
+	dst.Fill(7)
+	LayerNormRowsInto(dst, a, gamma, beta, 1e-5)
+	LayerNormRowsInto(a, a, gamma, beta, 1e-5) // in place
+	for i, w := range want.Data {
+		if math.Float32bits(dst.Data[i]) != math.Float32bits(w) || math.Float32bits(a.Data[i]) != math.Float32bits(w) {
+			t.Fatalf("elem %d: into %v, in place %v, want %v", i, dst.Data[i], a.Data[i], w)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("shape mismatch did not panic")
+		}
+	}()
+	LayerNormRowsInto(New(2, 8), want, gamma, beta, 1e-5)
+}
+
 func TestLayerNormRowsNormalizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := RandN(rng, 3, 4, 16)
