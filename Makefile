@@ -119,11 +119,18 @@ shard-smoke:
 # for token, single-row CCS/gather == the batch kernels, DecodeBatch ==
 # solo sessions, the pimdl_decode_* series deltas, and the dense row kernel
 # (tensor.MatVecTInto, also under MatMulTInto's parallel split) == its
-# scalar oracle bit for bit. Decode speed is measured by the
-# benchmark's decode workload (make benchmark). See DESIGN.md §14.
+# scalar oracle bit for bit. A second pass runs at GOMAXPROCS 1, 2 and
+# 8: the streaming attention core (prefill/refill fan-out and the decode
+# row) == the materialised attention oracle bit for bit, adversarial
+# Inf/NaN/−0 inputs included, and the pool-split tensor.GELU == one
+# serial GELURowInto pass. Decode speed is measured by the benchmark's
+# decode workload (make benchmark). See DESIGN.md §14.
 decode-smoke:
 	$(GO) test -race ./internal/nn/ ./internal/lutnn/ ./internal/tensor/ \
 		-run 'InferMatchesForward|GenerateCached|DecodeLogits|DecodeBatch|DecodeSession|DecodeMetrics|PickToken|SearchRow|DecodeLookupRow|ForwardRow|BitIdenticalToOracle|ShapeMismatchPanics' \
+		-v -timeout 600s
+	$(GO) test -race -cpu 1,2,8 ./internal/nn/ ./internal/tensor/ \
+		-run 'AttentionMatchesOracle|GELUMatchesSerialRows' \
 		-v -timeout 600s
 
 # convert-smoke runs the LUT-NN conversion's bit-exactness oracles under

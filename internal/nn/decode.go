@@ -20,14 +20,14 @@ package nn
 //  1. Left-aligned windows (see Generate) give every cached row a stable
 //     absolute position, so a K/V row computed at step t is the same
 //     float32 row the full forward pass would compute at step t+k.
-//  2. The reference's causally masked scores are exactly −1e9, and
-//     softmax turns them into exactly +0 (exp of ≈−1e9 underflows to
-//     zero in float64); the reference MatMul then *skips* zero
-//     coefficients (the sparsity fast path in tensor.matmulInto), so the
-//     masked tail contributes no floating-point operations at all. A
-//     single-row kernel that never materialises the tail and skips
-//     exactly-zero probabilities reproduces the reference bit for bit.
-//  3. Every per-row primitive (LayerNormRowsInto, SoftmaxRowInto,
+//  2. Attention has one plain core (attendHead in attention.go): the
+//     refill fans it out over (sequence, head) tasks and a cached step
+//     loops it over heads, reading K/V in place from the fused QKV rows
+//     or from the arenas. A causal row stops at the diagonal, which is
+//     exact: the reference's −1e9 masked scores softmax to exactly +0
+//     and its MatMul skips zero probabilities, so the masked tail adds
+//     no floating-point operation there either.
+//  3. Every other per-row primitive (LayerNormRowsInto, SoftmaxRowInto,
 //     GELURowInto, MatVecTInto, lutnn.ForwardRowInto) is the same code
 //     the batch path runs, row for row.
 //
@@ -37,7 +37,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/parallel"
@@ -62,7 +61,6 @@ type DecodeSession struct {
 
 	step   decodeStep // the one-row step Feed runs
 	scores []float32  // SeqLen: attention scratch, also used inside a batch
-	probs  []float32  // SeqLen
 	logits []float32  // Vocab
 }
 
@@ -86,7 +84,6 @@ func NewDecodeSession(m *Model, prompt []int) (*DecodeSession, error) {
 		kv:     make([]kvBlock, len(m.Blocks)),
 		step:   decodeStep{m: m},
 		scores: make([]float32, c.SeqLen),
-		probs:  make([]float32, c.SeqLen),
 		logits: make([]float32, c.Vocab),
 	}
 	for i := range s.kv {
@@ -264,7 +261,7 @@ func attendChunk(ctx any, lo, hi int) {
 		qkv := st.qkv.Row(r)
 		copy(kv.k[p*hd:(p+1)*hd], qkv[hd:2*hd])
 		copy(kv.v[p*hd:(p+1)*hd], qkv[2*hd:3*hd])
-		attendRow(kv, qkv[:hd], st.att.Row(r), s.scores, s.probs, p, c)
+		attendRow(kv, qkv[:hd], st.att.Row(r), s.scores, p, c)
 	}
 }
 
@@ -275,50 +272,6 @@ func logitsChunk(ctx any, lo, hi int) {
 	c := st.m.Config
 	for r := lo; r < hi; r++ {
 		tensor.MatVecTInto(st.rows[r].logits, st.h.Row(r), st.m.Embed.T.Data, c.Vocab, c.Hidden)
-	}
-}
-
-// attendRow is single-row multi-head attention for the query row q
-// (length Hidden) at position p against cached rows 0..p, writing the
-// concatenated head outputs into out. scores/probs are caller scratch of
-// length ≥ p+1. The float operation order mirrors inferAttention
-// exactly: per-head dot products in MatMulT order, a separate scale
-// pass, SoftmaxRowInto, then a probability-weighted sum that skips
-// exactly-zero coefficients like tensor.matmulInto.
-func attendRow(kv *kvBlock, q, out, scores, probs []float32, p int, c Config) {
-	hdim := c.Hidden
-	dh := hdim / c.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	n := p + 1
-	scores = scores[:n]
-	probs = probs[:n]
-	for head := 0; head < c.Heads; head++ {
-		qh := q[head*dh : (head+1)*dh]
-		for j := 0; j < n; j++ {
-			kr := kv.k[j*hdim+head*dh : j*hdim+(head+1)*dh]
-			var dot float32
-			for d := range qh {
-				dot += qh[d] * kr[d]
-			}
-			scores[j] = dot
-		}
-		for j := range scores {
-			scores[j] *= scale
-		}
-		tensor.SoftmaxRowInto(probs, scores)
-		oh := out[head*dh : (head+1)*dh]
-		clear(oh)
-		for j := 0; j < n; j++ {
-			pj := probs[j]
-			//pimdl:lint-ignore float-compare exact-zero skip mirrors tensor.matmulInto's sparsity fast path; required for bit-exactness
-			if pj == 0 {
-				continue
-			}
-			vr := kv.v[j*hdim+head*dh : j*hdim+(head+1)*dh]
-			for d := range oh {
-				oh[d] += pj * vr[d]
-			}
-		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // the (tied) embedding table. Generation with a partially filled window
 // reads the last REAL position instead of the padded tail — under the
 // causal mask the padding rows after pos are invisible to it, so the
-// logits equal those of a full window that happened to end at pos. It panics unless
-// the model is TokenInput and 0 ≤ pos < SeqLen.
+// logits equal those of a full window that happened to end at pos. It
+// panics unless the model is TokenInput, 0 ≤ pos < SeqLen and the batch
+// holds BatchN·SeqLen tokens with BatchN ≥ 1.
 func (m *Model) LMHeadAt(b *Batch, pos int) *tensor.Tensor {
 	if m.Config.Kind != TokenInput {
 		panic("nn: LMHead requires TokenInput")
@@ -22,10 +23,13 @@ func (m *Model) LMHeadAt(b *Batch, pos int) *tensor.Tensor {
 	if pos < 0 || pos >= c.SeqLen {
 		panic(fmt.Sprintf("nn: LMHeadAt position %d outside window [0,%d)", pos, c.SeqLen))
 	}
+	batch := b.BatchN
+	if n := len(b.TokenIDs); batch <= 0 || n != batch*c.SeqLen {
+		panic(fmt.Sprintf("nn: LMHeadAt batch of %d tokens, want BatchN·SeqLen = %d·%d", n, batch, c.SeqLen))
+	}
 	x := trunk(m, plainOps{c: c, seqLen: c.SeqLen}, m.embedInfer(b))
 	// Position pos of each sequence, projected onto the embedding table
 	// (weight tying, the standard LM head).
-	batch := b.BatchN
 	last := tensor.New(batch, c.Hidden)
 	for s := 0; s < batch; s++ {
 		copy(last.Row(s), x.Row(s*c.SeqLen+pos))

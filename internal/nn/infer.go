@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 
 	"repro/internal/autograd"
 	"repro/internal/tensor"
@@ -15,8 +15,17 @@ type ActivationTap func(layer int, role LinearRole, acts *tensor.Tensor)
 // Infer runs a plain-tensor forward pass (no autograd), honouring each
 // linear layer's configured backend, and returns per-sequence logits.
 // The optional tap is invoked with every convertible linear's input.
+// It panics unless the batch's row count is a positive multiple of
+// SeqLen.
 func (m *Model) Infer(b *Batch, tap ActivationTap) *tensor.Tensor {
 	c := m.Config
+	n := len(b.TokenIDs)
+	if c.Kind == PatchInput {
+		n = b.Patches.Dim(0)
+	}
+	if n == 0 || n%c.SeqLen != 0 {
+		panic(fmt.Sprintf("nn: Infer batch of %d rows is not a positive multiple of SeqLen %d", n, c.SeqLen))
+	}
 	x := trunk(m, plainOps{c: c, seqLen: c.SeqLen, tap: tap}, m.embedInfer(b))
 	pooled := poolRows(x, c.SeqLen)
 	out := tensor.MatMulT(pooled, m.Head.W.T)
@@ -81,49 +90,6 @@ func (m *Model) embedInfer(b *Batch) *tensor.Tensor {
 		}
 	}
 	return x
-}
-
-// inferAttention runs multi-head attention over a fused QKV matrix
-// ((batch·seqLen)×3H) in plain-tensor mode, causally masked when the
-// model is causal. A decode refill passes its window length as seqLen:
-// rows past it in a padded window are masked to an exact +0 probability,
-// which tensor.MatMul skips, so the n-row result equals the first n rows
-// of the padded one.
-func inferAttention(qkv *tensor.Tensor, seqLen int, c Config) *tensor.Tensor {
-	n := qkv.Dim(0)
-	h := c.Hidden
-	batch := n / seqLen
-	dh := h / c.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	out := tensor.New(n, h)
-	for bi := 0; bi < batch; bi++ {
-		for hd := 0; hd < c.Heads; hd++ {
-			q := tensor.New(seqLen, dh)
-			k := tensor.New(seqLen, dh)
-			v := tensor.New(seqLen, dh)
-			for s := 0; s < seqLen; s++ {
-				row := qkv.Row(bi*seqLen + s)
-				copy(q.Row(s), row[hd*dh:(hd+1)*dh])
-				copy(k.Row(s), row[h+hd*dh:h+(hd+1)*dh])
-				copy(v.Row(s), row[2*h+hd*dh:2*h+(hd+1)*dh])
-			}
-			scores := tensor.Scale(tensor.MatMulT(q, k), scale)
-			if c.Causal {
-				for si := 0; si < seqLen; si++ {
-					row := scores.Row(si)
-					for sj := si + 1; sj < seqLen; sj++ {
-						row[sj] = -1e9
-					}
-				}
-			}
-			p := tensor.SoftmaxRows(scores)
-			o := tensor.MatMul(p, v)
-			for s := 0; s < seqLen; s++ {
-				copy(out.Row(bi*seqLen + s)[hd*dh:(hd+1)*dh], o.Row(s))
-			}
-		}
-	}
-	return out
 }
 
 func poolRows(x *tensor.Tensor, group int) *tensor.Tensor {

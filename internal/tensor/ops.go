@@ -72,8 +72,10 @@ func SoftmaxRows(a *Tensor) *Tensor {
 }
 
 // SoftmaxRowInto writes softmax(src) into dst (same length, may alias).
-// The decode fastpath shares this with SoftmaxRows so cached and
-// uncached attention agree bit for bit.
+// SoftmaxRows and the plain attention core (in place, one score row at
+// a time) share it.
+//
+//pimdl:hotpath
 func SoftmaxRowInto(dst, src []float32) {
 	maxv := src[0]
 	for _, v := range src[1:] {
@@ -138,10 +140,23 @@ func layerNormRowInto(dst, src, gamma, beta []float32, eps float32) {
 	}
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit.
+// geluOps is the approximate scalar-op cost of one GELU element (a
+// float64 tanh and a few multiplies) that sizes GELU's pool split.
+const geluOps = 32
+
+// GELU applies the tanh-approximated Gaussian error linear unit into a
+// new tensor, splitting the rows (last-dimension slices) over the shared
+// worker pool. The work is elementwise, so the result is the same at any
+// worker count.
 func GELU(a *Tensor) *Tensor {
-	c := a.Clone()
-	GELURowInto(c.Data, c.Data)
+	c := New(a.shape...)
+	cols := len(a.Data)
+	if r := a.Rank(); r > 0 {
+		cols = a.shape[r-1]
+	}
+	parallelRows(len(a.Data)/cols, geluOps*len(a.Data), func(lo, hi int) {
+		GELURowInto(c.Data[lo*cols:hi*cols], a.Data[lo*cols:hi*cols])
+	})
 	return c
 }
 

@@ -233,6 +233,26 @@ func TestGELUKnownValues(t *testing.T) {
 	}
 }
 
+// TestGELUMatchesSerialRows holds the pool-split GELU to one serial
+// GELURowInto pass over the whole tensor, bit for bit, on shapes below
+// the pool's threshold (inline) and above it (split into row chunks,
+// one of them short), with signed zeros, subnormals, infinities and NaN
+// among the inputs. make decode-smoke runs it at -cpu 1,2,8.
+func TestGELUMatchesSerialRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, shape := range [][]int{{7}, {3, 5}, {2, 3, 4}, {128, 1024}, {257, 129}, {4, 33, 300}} {
+		a := New(shape...)
+		copy(a.Data, oracleOperand(rng, a.Size(), true))
+		want := make([]float32, a.Size())
+		GELURowInto(want, a.Data)
+		g := GELU(a)
+		if fmt.Sprint(g.Shape()) != fmt.Sprint(shape) {
+			t.Fatalf("GELU shape %v, want %v", g.Shape(), shape)
+		}
+		sameBits(t, fmt.Sprintf("GELU %v", shape), g.Data, want)
+	}
+}
+
 func TestArgMaxRows(t *testing.T) {
 	a := FromSlice([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
 	idx := ArgMaxRows(a)
