@@ -139,12 +139,16 @@ decode-smoke:
 # and the unrolled dim-4 nearest == their full-rescan and general-loop
 # oracles, BuildCodebooks/BuildLUT's per-codebook fan-out == the serial
 # loops (nested k-means dispatch included), concurrent Convert callers,
-# and the input checks that must fire before the fan-out. Conversion
+# and the input checks that must fire before the fan-out. The same pass
+# holds the calibration tape's kernel to its oracles: the four-p tiled
+# tensor.MatMul and the transpose-free MatMulTN == the scalar ikj loop
+# (zero skip, Inf/NaN behind a zero, −0 sums), and autograd's MatMulT
+# and attention gradients == their transposed-copy formulas. Conversion
 # speed is measured by the benchmark's prefill_lut set-up and convert
 # workload (make benchmark).
 convert-smoke:
-	$(GO) test -race -count=2 -cpu 1,2,8 ./internal/kmeans/ ./internal/lutnn/ \
-		-run 'DeterministicAcrossGOMAXPROCS|MatchesOracle|MatchesSerialOracle|ConcurrentCallers|BadInput' \
+	$(GO) test -race -count=2 -cpu 1,2,8 ./internal/kmeans/ ./internal/lutnn/ ./internal/tensor/ ./internal/autograd/ \
+		-run 'DeterministicAcrossGOMAXPROCS|MatchesOracle|MatchesSerialOracle|MatMulParallelMatchesSerial|ConcurrentCallers|BadInput' \
 		-timeout 600s
 
 # trace-smoke exercises the request-scoped tracing layer end to end:

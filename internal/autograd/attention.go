@@ -93,13 +93,12 @@ func attention(q, k, v *Value, seqLen, heads int, causal bool) *Value {
 		for b := 0; b < batch; b++ {
 			for h := 0; h < heads; h++ {
 				p := probs[b][h]
-				qh := extract(q.T, b, h)
 				kh := extract(k.T, b, h)
 				vh := extract(v.T, b, h)
 				do := extract(out.Grad, b, h)
 
 				if gv != nil {
-					scatterAdd(gv, tensor.MatMul(tensor.Transpose(p), do), b, h)
+					scatterAdd(gv, tensor.MatMulTN(p, do), b, h)
 				}
 				// dP = dO·Vᵀ ; dS = P ⊙ (dP − rowsum(dP⊙P))
 				dp := tensor.MatMulT(do, vh)
@@ -120,7 +119,8 @@ func attention(q, k, v *Value, seqLen, heads int, causal bool) *Value {
 					scatterAdd(gq, tensor.Scale(tensor.MatMul(ds, kh), scale), b, h)
 				}
 				if gk != nil {
-					scatterAdd(gk, tensor.Scale(tensor.MatMul(tensor.Transpose(ds), qh), scale), b, h)
+					// dK = dSᵀ·Q: Q's head is read by nothing else.
+					scatterAdd(gk, tensor.Scale(tensor.MatMulTN(ds, extract(q.T, b, h)), scale), b, h)
 				}
 			}
 		}

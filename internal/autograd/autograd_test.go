@@ -256,3 +256,127 @@ func TestGatherRowsGrad(t *testing.T) {
 		return SumSquares(GatherRows(a, rows))
 	}, 1e-2)
 }
+
+// transpose returns aᵀ for a rank-2 tensor.
+func transpose(a *tensor.Tensor) *tensor.Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	t := tensor.New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			t.Data[j*m+i] = a.Data[i*n+j]
+		}
+	}
+	return t
+}
+
+// sparseRandN is RandN with about one element in eight set to an exact
+// ±0, so the products run the kernel's zero fallback.
+func sparseRandN(rng *rand.Rand, rows, cols int) *tensor.Tensor {
+	t := tensor.RandN(rng, 0.5, rows, cols)
+	for i := range t.Data {
+		if rng.Intn(8) == 0 {
+			t.Data[i] = float32(math.Copysign(0, rng.Float64()-0.5))
+		}
+	}
+	return t
+}
+
+func assertSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %g, oracle %g", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestMatMulTGradMatchesOracle holds MatMulT's backward, whose weight
+// gradient Gᵀ·A reads G column by column through tensor.MatMulTN, to
+// the product over a transposed copy of G, bit for bit, on shapes below
+// and above the worker pool's threshold.
+func TestMatMulTGradMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, s := range []struct{ n, k, m int }{{3, 4, 5}, {17, 33, 9}, {96, 64, 80}} {
+		a := NewParam(sparseRandN(rng, s.n, s.k))
+		b := NewParam(sparseRandN(rng, s.m, s.k))
+		out := MatMulT(a, b)
+		out.Grad = sparseRandN(rng, s.n, s.m)
+		out.back()
+		assertSameBits(t, "dA", a.Grad, tensor.AddInPlace(tensor.New(s.n, s.k), tensor.MatMul(out.Grad, b.T)))
+		assertSameBits(t, "dW", b.Grad, tensor.AddInPlace(tensor.New(s.m, s.k), tensor.MatMul(transpose(out.Grad), a.T)))
+	}
+}
+
+// attentionGradOracle is attention's backward written with transposed
+// copies: per (sequence, head), dV = Pᵀ·dO, dS = P ⊙ (dO·Vᵀ − rowsum),
+// dQ = scale·dS·K and dK = scale·dSᵀ·Q, each scattered into its head's
+// columns.
+func attentionGradOracle(q, k, v, dO *tensor.Tensor, seqLen, heads int, causal bool) (gq, gk, gv *tensor.Tensor) {
+	n, hidden := q.Dim(0), q.Dim(1)
+	dh := hidden / heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+	gq, gk, gv = tensor.New(n, hidden), tensor.New(n, hidden), tensor.New(n, hidden)
+	head := func(src *tensor.Tensor, b, h int) *tensor.Tensor {
+		out := tensor.New(seqLen, dh)
+		for i := 0; i < seqLen; i++ {
+			copy(out.Row(i), src.Data[(b*seqLen+i)*hidden+h*dh:][:dh])
+		}
+		return out
+	}
+	scatter := func(dst, part *tensor.Tensor, b, h int) {
+		for i := 0; i < seqLen; i++ {
+			row := dst.Data[(b*seqLen+i)*hidden+h*dh:]
+			for j, x := range part.Row(i) {
+				row[j] += x
+			}
+		}
+	}
+	for b := 0; b < n/seqLen; b++ {
+		for h := 0; h < heads; h++ {
+			qh, kh, vh, do := head(q, b, h), head(k, b, h), head(v, b, h), head(dO, b, h)
+			scores := tensor.Scale(tensor.MatMulT(qh, kh), scale)
+			if causal {
+				maskUpper(scores)
+			}
+			p := tensor.SoftmaxRows(scores)
+			scatter(gv, tensor.MatMul(transpose(p), do), b, h)
+			dp := tensor.MatMulT(do, vh)
+			ds := tensor.New(seqLen, seqLen)
+			for i := 0; i < seqLen; i++ {
+				pr, dpr := p.Row(i), dp.Row(i)
+				var dot float32
+				for j := range pr {
+					dot += pr[j] * dpr[j]
+				}
+				for j := range pr {
+					ds.Row(i)[j] = pr[j] * (dpr[j] - dot)
+				}
+			}
+			scatter(gq, tensor.Scale(tensor.MatMul(ds, kh), scale), b, h)
+			scatter(gk, tensor.Scale(tensor.MatMul(transpose(ds), qh), scale), b, h)
+		}
+	}
+	return gq, gk, gv
+}
+
+// TestAttentionGradMatchesOracle holds attention's backward, which forms
+// dV and dK through tensor.MatMulTN, to the transposed-copy oracle bit
+// for bit, plain and causal (whose masked probabilities are exact
+// zeros).
+func TestAttentionGradMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, causal := range []bool{false, true} {
+		for _, s := range []struct{ seq, heads, hidden, batch int }{{3, 2, 4, 2}, {16, 2, 32, 3}, {48, 4, 64, 1}} {
+			q := NewParam(sparseRandN(rng, s.batch*s.seq, s.hidden))
+			k := NewParam(sparseRandN(rng, s.batch*s.seq, s.hidden))
+			v := NewParam(sparseRandN(rng, s.batch*s.seq, s.hidden))
+			out := attention(q, k, v, s.seq, s.heads, causal)
+			out.Grad = sparseRandN(rng, s.batch*s.seq, s.hidden)
+			out.back()
+			gq, gk, gv := attentionGradOracle(q.T, k.T, v.T, out.Grad, s.seq, s.heads, causal)
+			assertSameBits(t, "dQ", q.Grad, gq)
+			assertSameBits(t, "dK", k.Grad, gk)
+			assertSameBits(t, "dV", v.Grad, gv)
+		}
+	}
+}

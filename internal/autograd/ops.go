@@ -15,7 +15,7 @@ func MatMulT(a, b *Value) *Value {
 			tensor.AddInPlace(a.ensureGrad(), tensor.MatMul(out.Grad, b.T))
 		}
 		if b.requiresGrad {
-			tensor.AddInPlace(b.ensureGrad(), tensor.MatMul(tensor.Transpose(out.Grad), a.T))
+			tensor.AddInPlace(b.ensureGrad(), tensor.MatMulTN(out.Grad, a.T))
 		}
 	}
 	return out

@@ -65,7 +65,9 @@ func (o plainOps) attention(layer int, qkv *tensor.Tensor) *tensor.Tensor {
 	return inferAttention(qkv, o.seqLen, o.c)
 }
 
-func (plainOps) gelu(x *tensor.Tensor) *tensor.Tensor { return tensor.GELU(x) }
+// gelu applies GELU in place: its input, the FFN1 output, is read by
+// nothing else.
+func (plainOps) gelu(x *tensor.Tensor) *tensor.Tensor { return tensor.GELUInto(x, x) }
 
 func (plainOps) add(x, y *tensor.Tensor) *tensor.Tensor { return tensor.AddInPlace(y, x) }
 

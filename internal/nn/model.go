@@ -258,6 +258,7 @@ type trunkOps[V any] interface {
 	linear(layer int, r LinearRole, l *Linear, x V) V
 	// attention runs multi-head attention over a fused QKV matrix.
 	attention(layer int, qkv V) V
+	// gelu applies GELU to x; an implementation may reuse x's storage.
 	gelu(x V) V
 	// add returns the residual sum x + y; an implementation may reuse
 	// y's storage.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -20,7 +21,22 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	n := b.Dim(1)
 	c := New(m, n)
-	matmulInto(c.Data, a.Data, b.Data, m, k, n)
+	matmulInto(c.Data, a.Data, b.Data, m, k, n, k, 1)
+	return c
+}
+
+// MatMulTN computes C = Aᵀ·B for A (k×m) and B (k×n) without forming
+// Aᵀ: the MatMul kernel reads A column by column, in the same ascending
+// order MatMul reads the rows of a transposed copy, so the result equals
+// MatMul(Aᵀ, B) bit for bit. Weight and attention gradients (Gᵀ·X) use
+// it. It panics on rank or inner-dimension mismatch.
+func MatMulTN(a, b *Tensor) *Tensor {
+	if a.Rank() != 2 || b.Rank() != 2 || b.Dim(0) != a.Dim(0) {
+		panic("tensor: MatMulTN wants rank-2 A (k×m) and B (k×n)")
+	}
+	k, m, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	c := New(m, n)
+	matmulInto(c.Data, a.Data, b.Data, m, k, n, 1, m)
 	return c
 }
 
@@ -112,27 +128,91 @@ func MatVecTInto(dst, a, b []float32, n, k int) {
 	}
 }
 
-// matmulInto computes c += a·b with c pre-zeroed, using an ikj loop order
-// that streams b rows and accumulates into c rows (cache friendly for
-// row-major data).
-func matmulInto(c, a, b []float32, m, k, n int) {
-	parallelRows(m, 2*m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cr := c[i*n : (i+1)*n]
-			ar := a[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				av := ar[p]
-				//pimdl:lint-ignore float-compare exact-zero sparsity fast path; any nonzero value must multiply
-				if av == 0 {
-					continue
-				}
-				br := b[p*n : (p+1)*n]
-				for j := range cr {
-					cr[j] += av * br[j]
-				}
+// matmulJob is one matmulInto call's operands, pooled so the dispatch
+// does not allocate.
+type matmulJob struct {
+	c, a, b      []float32
+	k, n, rs, ps int
+}
+
+var matmulJobPool = sync.Pool{New: func() any { return new(matmulJob) }}
+
+// matmulInto computes c += A·b with c (m×n) pre-zeroed and b (k×n)
+// row-major, where A (m×k) is read at a[i·rs + p·ps]: rs = k, ps = 1 is
+// a row-major A (MatMul), rs = 1, ps = m its transpose (MatMulTN). Rows
+// of c are split over the shared worker pool; each row is one chunk's
+// alone, so the result does not depend on the worker count.
+func matmulInto(c, a, b []float32, m, k, n, rs, ps int) {
+	j := matmulJobPool.Get().(*matmulJob)
+	j.c, j.a, j.b = c, a, b
+	j.k, j.n, j.rs, j.ps = k, n, rs, ps
+	parallel.ForCtx(m, 2*m*k*n, j, matmulChunk)
+	j.c, j.a, j.b = nil, nil, nil
+	matmulJobPool.Put(j)
+}
+
+// matmulChunk computes rows [lo, hi) of a matmulInto call. The ikj
+// order streams b rows into a c row; each pass over the c row consumes
+// four consecutive p, loading c[j] once, adding a[p]·b[p][j] for the
+// four p in ascending order in a register and storing once. Every
+// output thus receives the same float32-rounded products in the same
+// order as the one-p-at-a-time loop, starting from the zeroed c, and is
+// bit-identical to it. An exactly-zero a[p] is skipped, not multiplied
+// (skipping differs from adding 0·Inf, 0·NaN, or 0·x onto a −0 sum), so
+// a group holding one falls back to the per-p loop, as does the k%4
+// tail. Each product is converted to float32 before the add so that no
+// architecture fuses it into a multiply-add, which rounds once instead
+// of twice.
+//
+//pimdl:hotpath
+func matmulChunk(ctx any, lo, hi int) {
+	job := ctx.(*matmulJob)
+	a, b := job.a, job.b
+	k, n, rs, ps := job.k, job.n, job.rs, job.ps
+	for i := lo; i < hi; i++ {
+		cr := job.c[i*n:][:n]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			q := i*rs + p*ps
+			a0, a1, a2, a3 := a[q], a[q+ps], a[q+2*ps], a[q+3*ps]
+			b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
+			//pimdl:lint-ignore float-compare exact-zero sparsity fast path; a zero a[p] must be skipped, not multiplied, for bit-exactness
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				addScaledRow(cr, a0, b0)
+				addScaledRow(cr, a1, b1)
+				addScaledRow(cr, a2, b2)
+				addScaledRow(cr, a3, b3)
+				continue
+			}
+			// Reslicing to len(cr) drops the inner-loop bounds checks.
+			b0, b1, b2, b3 = b0[:len(cr)], b1[:len(cr)], b2[:len(cr)], b3[:len(cr)]
+			for j, s := range cr {
+				s += float32(a0 * b0[j])
+				s += float32(a1 * b1[j])
+				s += float32(a2 * b2[j])
+				s += float32(a3 * b3[j])
+				cr[j] = s
 			}
 		}
-	})
+		for ; p < k; p++ {
+			addScaledRow(cr, a[i*rs+p*ps], b[p*n:][:n])
+		}
+	}
+}
+
+// addScaledRow computes cr += av·br (same length), skipping an exactly
+// zero av: matmulChunk's per-p loop.
+//
+//pimdl:hotpath
+func addScaledRow(cr []float32, av float32, br []float32) {
+	//pimdl:lint-ignore float-compare exact-zero sparsity fast path; any nonzero value must multiply
+	if av == 0 {
+		return
+	}
+	br = br[:len(cr)]
+	for j := range cr {
+		cr[j] += float32(av * br[j])
+	}
 }
 
 // parallelRows splits [0, m) into deterministic chunks on the shared
@@ -140,22 +220,6 @@ func matmulInto(c, a, b []float32, m, k, n int) {
 // used to decide whether parallelism is worthwhile.
 func parallelRows(m int, work int, f func(lo, hi int)) {
 	parallel.For(m, work, f)
-}
-
-// Transpose returns Aᵀ for a rank-2 tensor. It panics on other ranks.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires rank-2 tensor")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	t := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			t.Data[j*m+i] = v
-		}
-	}
-	return t
 }
 
 // AddBias adds a length-n bias vector to every row of an m×n matrix, in

@@ -145,19 +145,26 @@ func layerNormRowInto(dst, src, gamma, beta []float32, eps float32) {
 const geluOps = 32
 
 // GELU applies the tanh-approximated Gaussian error linear unit into a
-// new tensor, splitting the rows (last-dimension slices) over the shared
-// worker pool. The work is elementwise, so the result is the same at any
-// worker count.
+// new tensor (see GELUInto).
 func GELU(a *Tensor) *Tensor {
-	c := New(a.shape...)
-	cols := len(a.Data)
-	if r := a.Rank(); r > 0 {
-		cols = a.shape[r-1]
+	return GELUInto(New(a.shape...), a)
+}
+
+// GELUInto applies GELU from src into dst, which must have src's shape
+// and may alias it, and returns dst. It splits the rows (last-dimension
+// slices) over the shared worker pool. The work is elementwise, so the
+// result is the same at any worker count. It panics on a shape
+// mismatch.
+func GELUInto(dst, src *Tensor) *Tensor {
+	checkSame("GELUInto", dst, src)
+	cols := len(src.Data)
+	if r := src.Rank(); r > 0 {
+		cols = src.shape[r-1]
 	}
-	parallelRows(len(a.Data)/cols, geluOps*len(a.Data), func(lo, hi int) {
-		GELURowInto(c.Data[lo*cols:hi*cols], a.Data[lo*cols:hi*cols])
+	parallelRows(len(src.Data)/cols, geluOps*len(src.Data), func(lo, hi int) {
+		GELURowInto(dst.Data[lo*cols:hi*cols], src.Data[lo*cols:hi*cols])
 	})
-	return c
+	return dst
 }
 
 // GELURowInto applies GELU elementwise from src into dst (same length,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,31 +86,143 @@ func TestMatMulTMatchesMatMul(t *testing.T) {
 	a := RandN(rng, 1, 17, 23)
 	b := RandN(rng, 1, 9, 23) // (n×k)
 	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
+	want := MatMul(a, transpose(b))
 	if !AllClose(got, want, 1e-4) {
 		t.Fatalf("MatMulT disagrees with MatMul∘Transpose, max diff %g", MaxAbsDiff(got, want))
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Big enough to trigger the parallel path.
-	rng := rand.New(rand.NewSource(2))
-	a := RandN(rng, 1, 128, 96)
-	b := RandN(rng, 1, 96, 80)
-	c := MatMul(a, b)
-	// Serial reference.
-	ref := New(128, 80)
-	for i := 0; i < 128; i++ {
-		for j := 0; j < 80; j++ {
-			var s float32
-			for p := 0; p < 96; p++ {
-				s += a.At(i, p) * b.At(p, j)
-			}
-			ref.Set(s, i, j)
+// transpose returns aᵀ for a rank-2 tensor.
+func transpose(a *Tensor) *Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	t := New(n, m)
+	for i := 0; i < m; i++ {
+		for j, v := range a.Data[i*n : (i+1)*n] {
+			t.Data[j*m+i] = v
 		}
 	}
-	if !AllClose(c, ref, 1e-3) {
-		t.Fatalf("parallel matmul differs from serial, max diff %g", MaxAbsDiff(c, ref))
+	return t
+}
+
+// matMulOracle is the scalar reference for the MatMul kernel: ikj order,
+// each c[i][j] starting at +0 and receiving float32(a[i][p]·b[p][j]) for
+// p in ascending order, an exactly-zero a[i][p] skipped. The tiled
+// kernel promises this exact evaluation order, so its results must
+// match bit for bit.
+func matMulOracle(a, b []float32, m, k, n int) []float32 {
+	c := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c[i*n+j] += float32(av * b[p*n+j])
+			}
+		}
+	}
+	return c
+}
+
+// matMulCase is one A (m×k) · B (k×n) product of the oracle grid.
+type matMulCase struct {
+	name    string
+	m, k, n int
+	a, b    []float32
+}
+
+// matMulGrid builds the oracle grid: k from one short group to three
+// groups and a tail, and m×n on both sides of the pool's threshold: four
+// shapes run inline, and two, sized by k, split into chunks (two rows
+// into two; 37 rows into four, the last one short). Each shape gets
+// random operands (finite, then with Inf and NaN), then an exact zero in
+// each position of every four-p group with ±Inf or NaN in the B row
+// behind it, then ±1 against an all-−0 B, whose output must be +0 since
+// every sum starts from the zeroed C.
+func matMulGrid() []matMulCase {
+	rng := rand.New(rand.NewSource(34))
+	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	var cases []matMulCase
+	for _, k := range []int{1, 3, 4, 5, 8, 13} {
+		for _, s := range []struct{ m, n int }{{1, 1}, {2, 5}, {7, 9}, {33, 64}, {2, 150000 / k}, {37, 16000 / k}} {
+			add := func(name string, a, b []float32) {
+				cases = append(cases, matMulCase{fmt.Sprintf("m=%d k=%d n=%d %s", s.m, k, s.n, name), s.m, k, s.n, a, b})
+			}
+			add("finite", oracleOperand(rng, s.m*k, false), oracleOperand(rng, k*s.n, false))
+			add("non-finite", oracleOperand(rng, s.m*k, true), oracleOperand(rng, k*s.n, true))
+			for pos := 0; pos < 4 && pos < k; pos++ {
+				a := oracleOperand(rng, s.m*k, false)
+				b := oracleOperand(rng, k*s.n, false)
+				for p := pos; p < k; p += 4 {
+					for i := 0; i < s.m; i++ {
+						a[i*k+p] = float32(math.Copysign(0, float64(i%2)-0.5))
+					}
+					for j := 0; j < s.n; j++ {
+						b[p*s.n+j] = nonFinite[j%len(nonFinite)]
+					}
+				}
+				add(fmt.Sprintf("zero at group position %d", pos), a, b)
+			}
+			a := make([]float32, s.m*k)
+			for i := range a {
+				a[i] = float32(1 - 2*(i%2))
+			}
+			b := make([]float32, k*s.n)
+			for i := range b {
+				b[i] = float32(math.Copysign(0, -1))
+			}
+			add("all -0", a, b)
+		}
+	}
+	return cases
+}
+
+// sameBitsNaN is sameBits with every NaN equal to every other: when both
+// operands of an add are NaN, which one the hardware returns depends on
+// the operand order the compiler picks, which Go leaves open (and which
+// changes with inlining), so the oracle cannot pin a NaN's sign.
+func sameBitsNaN(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for j := range want {
+		g, w := got[j], want[j]
+		if math.Float32bits(g) != math.Float32bits(w) && !(math.IsNaN(float64(g)) && math.IsNaN(float64(w))) {
+			t.Fatalf("%s: output %d = %#08x (%g), oracle %#08x (%g)", what, j,
+				math.Float32bits(g), g, math.Float32bits(w), w)
+		}
+	}
+}
+
+// TestMatMulParallelMatchesSerial holds MatMul, inline and split over
+// the pool, to the scalar ikj oracle under Float32bits on the whole
+// grid. make convert-smoke runs it at -cpu 1,2,8.
+func TestMatMulParallelMatchesSerial(t *testing.T) {
+	for _, c := range matMulGrid() {
+		got := MatMul(FromSlice(c.a, c.m, c.k), FromSlice(c.b, c.k, c.n))
+		sameBitsNaN(t, "MatMul "+c.name, got.Data, matMulOracle(c.a, c.b, c.m, c.k, c.n))
+		if strings.HasSuffix(c.name, "all -0") {
+			for j, v := range got.Data {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("MatMul %s: output %d = %#08x, want +0", c.name, j, math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTNMatchesOracle holds MatMulTN(Aᵀ, B), which reads A column
+// by column, to MatMul(A, B) over the transposed copy and to the scalar
+// oracle, bit for bit, on the same grid.
+func TestMatMulTNMatchesOracle(t *testing.T) {
+	for _, c := range matMulGrid() {
+		at := transpose(FromSlice(c.a, c.m, c.k))
+		b := FromSlice(c.b, c.k, c.n)
+		got := MatMulTN(at, b)
+		if got.Dim(0) != c.m || got.Dim(1) != c.n {
+			t.Fatalf("MatMulTN %s: shape %v", c.name, got.Shape())
+		}
+		sameBitsNaN(t, "MatMulTN "+c.name, got.Data, MatMul(transpose(at), b).Data)
+		sameBitsNaN(t, "MatMulTN "+c.name, got.Data, matMulOracle(c.a, c.b, c.m, c.k, c.n))
 	}
 }
 
@@ -119,7 +232,7 @@ func TestTransposeInvolution(t *testing.T) {
 		m := 1 + rng.Intn(8)
 		n := 1 + rng.Intn(8)
 		a := RandN(rng, 1, m, n)
-		return Equal(Transpose(Transpose(a)), a)
+		return Equal(transpose(transpose(a)), a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -250,7 +363,15 @@ func TestGELUMatchesSerialRows(t *testing.T) {
 			t.Fatalf("GELU shape %v, want %v", g.Shape(), shape)
 		}
 		sameBits(t, fmt.Sprintf("GELU %v", shape), g.Data, want)
+		GELUInto(a, a)
+		sameBits(t, fmt.Sprintf("GELUInto in place %v", shape), a.Data, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("GELUInto with a wrong output shape did not panic")
+		}
+	}()
+	GELUInto(New(3, 4), New(4, 3))
 }
 
 func TestArgMaxRows(t *testing.T) {
@@ -396,8 +517,8 @@ func TestTransposeMatMulRelation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := RandN(rng, 1, 3, 4)
 		b := RandN(rng, 1, 4, 5)
-		left := Transpose(MatMul(a, b))
-		right := MatMul(Transpose(b), Transpose(a))
+		left := transpose(MatMul(a, b))
+		right := MatMul(transpose(b), transpose(a))
 		return AllClose(left, right, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -536,6 +657,14 @@ func TestMatVecTIntoShapeMismatchPanics(t *testing.T) {
 			MatVecTInto(make([]float32, s.dst), make([]float32, s.a), make([]float32, s.b), s.n, s.k)
 		}()
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("MatMulTN with mismatched inner dimensions did not panic")
+			}
+		}()
+		MatMulTN(New(3, 2), New(4, 5))
+	}()
 	defer func() {
 		if recover() == nil {
 			t.Error("MatMulTInto with a wrong output shape did not panic")
