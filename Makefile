@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke convert-smoke trace-smoke benchmark benchmark-compare metrics-smoke vet fmt lint lint-baseline experiments examples clean
+.PHONY: all build test test-short test-race test-tuner test-faults chaos-smoke shard-smoke decode-smoke convert-smoke portability trace-smoke benchmark benchmark-compare metrics-smoke vet fmt lint lint-baseline experiments examples clean
 
 all: build vet lint test
 
@@ -143,13 +143,28 @@ decode-smoke:
 # holds the calibration tape's kernel to its oracles: the four-p tiled
 # tensor.MatMul and the transpose-free MatMulTN == the scalar ikj loop
 # (zero skip, Inf/NaN behind a zero, −0 sums), and autograd's MatMulT
-# and attention gradients == their transposed-copy formulas. Conversion
+# and attention gradients == their transposed-copy formulas. The
+# internal/vec leaves (the gather accumulates and the matmul's four-p
+# update) == their naive loops on both the AVX2 and the Go path, and the
+# lutnn and tensor oracles run again with the Go path forced. Last, the
+# benchmark's convert recipe on a tiny model, run twice from one
+# checkpoint, gives the same codebooks, tables and accuracy. Conversion
 # speed is measured by the benchmark's prefill_lut set-up and convert
 # workload (make benchmark).
 convert-smoke:
-	$(GO) test -race -count=2 -cpu 1,2,8 ./internal/kmeans/ ./internal/lutnn/ ./internal/tensor/ ./internal/autograd/ \
-		-run 'DeterministicAcrossGOMAXPROCS|MatchesOracle|MatchesSerialOracle|MatMulParallelMatchesSerial|ConcurrentCallers|BadInput' \
+	$(GO) test -race -count=2 -cpu 1,2,8 ./internal/kmeans/ ./internal/lutnn/ ./internal/tensor/ ./internal/autograd/ ./internal/vec/ ./internal/nn/ \
+		-run 'DeterministicAcrossGOMAXPROCS|MatchesOracle|MatchesSerialOracle|MatMulParallelMatchesSerial|ConcurrentCallers|BadInput|OnVecFallback|CalibrateELUTRepeatsFromCheckpoint' \
 		-timeout 600s
+
+# portability builds and tests the code paths an AVX2 amd64 host does
+# not take by default: the purego build (internal/vec's Go fallbacks in
+# place of its assembly) runs the kernel packages' tests, and the arm64
+# cross-build is vetted and compiled. The fallbacks round every product
+# to float32 before adding it, so the arm64 build fuses none of them.
+portability:
+	$(GO) test -tags purego ./internal/vec/ ./internal/lutnn/ ./internal/tensor/ ./internal/nn/ -timeout 600s
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # trace-smoke exercises the request-scoped tracing layer end to end:
 # first the tracing oracles under the race detector (RunDeterministic

@@ -34,7 +34,9 @@ var hotpathDeniedStdlib = map[string]bool{
 // lutnn kernel calling parallel.ForCtx checks against the annotation
 // in the parallel package. Panic arguments are exempt: a panicking
 // shape check leaves steady state, so its fmt.Sprintf is free. Arena
-// grow-to-high-water sites document themselves with a suppression.
+// grow-to-high-water sites document themselves with a suppression. An
+// annotated declaration without a body (an assembly leaf) has nothing
+// to check and counts as annotated: its author vouches for it.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "allocation (or call to an unannotated function) in a //pimdl:hotpath function",
@@ -52,12 +54,14 @@ func runHotpath(p *Pass) {
 		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasHotpathDirective(fd) {
+			if !ok || !hasHotpathDirective(fd) {
 				continue
 			}
 			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
 				p.Facts.Hotpath[fn] = true
-				annotated = append(annotated, fd)
+				if fd.Body != nil {
+					annotated = append(annotated, fd)
+				}
 			}
 		}
 	}

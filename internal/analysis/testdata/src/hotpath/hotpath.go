@@ -1,7 +1,7 @@
 // Package hotpath exercises the hotpath analyzer: allocation sites,
 // closures, interface boxing and calls to unannotated functions inside
 // //pimdl:hotpath bodies, including cross-package calls resolved
-// through the fact store.
+// through the fact store, and calls to body-less (assembly) leaves.
 package hotpath
 
 import (
@@ -27,6 +27,7 @@ func kernel(j *job, lo, hi int) {
 		j.dst[i] *= 2
 	}
 	hotpathdep.Annotated(j.dst[lo:hi], 1)
+	hotpathdep.Leaf(j.dst)
 	helper(j.dst)
 }
 
@@ -50,6 +51,7 @@ func allocating(j *job, vs []float32) []float32 {
 	f()
 	fmt.Println()                   // want: allocates by design
 	vs = hotpathdep.Unannotated(vs) // want: not annotated
+	hotpathdep.BareLeaf(vs)         // want: not annotated
 	sink = j.n                      // want: boxes
 	box(j.n)                        // want: boxes
 	box(j)

@@ -18,3 +18,13 @@ func Annotated(dst []float32, v float32) {
 func Unannotated(dst []float32) []float32 {
 	return append(dst, 0)
 }
+
+// Leaf is an annotated declaration without a body, as an assembly
+// kernel is declared: hot-path callers may use it.
+//
+//pimdl:hotpath
+func Leaf(dst []float32)
+
+// BareLeaf has no body and no annotation; hot-path callers must not
+// use it.
+func BareLeaf(dst []float32)

@@ -21,7 +21,7 @@ package lutnn
 //     walks codebooks within a feature tile, so consecutively accessed
 //     slices sit CT·w floats apart instead of CT·F, and the destination
 //     tile stays register/L1-resident across all CB accumulations.
-//     Accumulation reuses init4F32/add4F32/addF32 (ascending-cb
+//     Accumulation reuses vec.Init4F32/Add4F32/AddF32 (ascending-cb
 //     association), so results are bit-identical to lookupSerial.
 //   - Layer.ForwardRowInto fuses row CCS + row gather + bias with all
 //     scratch from the shared arena pool — no allocations per token in
@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metrics"
+	"repro/internal/vec"
 )
 
 // decodeFTile is the feature-tile width of the decode gather layout.
@@ -272,7 +273,7 @@ func (d *DecodeLUT) LookupRowInto(dst []float32, idx []uint8) {
 			s1 := base + (ct+int(idx[1]))*w
 			s2 := base + (2*ct+int(idx[2]))*w
 			s3 := base + (3*ct+int(idx[3]))*w
-			init4F32(o, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
+			vec.Init4F32(o, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
 				data[s2:s2+w:s2+w], data[s3:s3+w:s3+w])
 			cb = 4
 		} else {
@@ -283,12 +284,12 @@ func (d *DecodeLUT) LookupRowInto(dst []float32, idx []uint8) {
 			s1 := base + ((cb+1)*ct+int(idx[cb+1]))*w
 			s2 := base + ((cb+2)*ct+int(idx[cb+2]))*w
 			s3 := base + ((cb+3)*ct+int(idx[cb+3]))*w
-			add4F32(o, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
+			vec.Add4F32(o, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
 				data[s2:s2+w:s2+w], data[s3:s3+w:s3+w])
 		}
 		for ; cb < cbs; cb++ {
 			so := base + (cb*ct+int(idx[cb]))*w
-			addF32(o, data[so:so+w:so+w])
+			vec.AddF32(o, data[so:so+w:so+w])
 		}
 		f0 += w
 	}
@@ -355,12 +356,12 @@ func (d *DecodeQLUT) LookupRowInto(dst []float32, idx []uint8, a *arena) {
 			s1 := base + ((cb+1)*ct+int(idx[cb+1]))*w
 			s2 := base + ((cb+2)*ct+int(idx[cb+2]))*w
 			s3 := base + ((cb+3)*ct+int(idx[cb+3]))*w
-			add4I8(av, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
+			vec.Add4I8(av, data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
 				data[s2:s2+w:s2+w], data[s3:s3+w:s3+w])
 		}
 		for ; cb < cbs; cb++ {
 			so := base + (cb*ct+int(idx[cb]))*w
-			addI8(av, data[so:so+w:so+w])
+			vec.AddI8(av, data[so:so+w:so+w])
 		}
 		o := dst[f0 : f0+w : f0+w]
 		for k, v := range av {

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 const (
@@ -362,9 +363,9 @@ func lookupChunk(ctx any, lo, hi int) {
 // that the destination block stays L1-resident across the whole codebook
 // loop (lookupRBlock×F floats), with the codebook loop outside the row
 // loop so rows in a block share each codebook's centroid slices. The
-// innermost accumulate is 8-way unrolled with bounds checks hoisted —
-// element-independent, so per output element the codebooks still add in
-// ascending order, matching the serial reference bit for bit. idx rows
+// innermost accumulate is a vec leaf, one output element per vector
+// lane, so per output element the codebooks still add in ascending
+// order, matching the serial reference bit for bit. idx rows
 // are addressed relative to idxRow0 (0 for a full N×CB matrix, lo for a
 // chunk-local tile).
 //
@@ -393,7 +394,7 @@ func lookupRowsBlocked(l *LUT, idx []uint8, idxRow0 int, out []float32, lo, hi i
 				s1 := (ct + int(idx[ir+1])) * f
 				s2 := (2*ct + int(idx[ir+2])) * f
 				s3 := (3*ct + int(idx[ir+3])) * f
-				init4F32(out[i*f:(i+1)*f:(i+1)*f],
+				vec.Init4F32(out[i*f:(i+1)*f:(i+1)*f],
 					data[s0:s0+f:s0+f], data[s1:s1+f:s1+f],
 					data[s2:s2+f:s2+f], data[s3:s3+f:s3+f])
 			}
@@ -406,7 +407,7 @@ func lookupRowsBlocked(l *LUT, idx []uint8, idxRow0 int, out []float32, lo, hi i
 				s1 := ((cb+1)*ct + int(idx[ir+cb+1])) * f
 				s2 := ((cb+2)*ct + int(idx[ir+cb+2])) * f
 				s3 := ((cb+3)*ct + int(idx[ir+cb+3])) * f
-				add4F32(out[i*f:(i+1)*f:(i+1)*f],
+				vec.Add4F32(out[i*f:(i+1)*f:(i+1)*f],
 					data[s0:s0+f:s0+f], data[s1:s1+f:s1+f],
 					data[s2:s2+f:s2+f], data[s3:s3+f:s3+f])
 			}
@@ -415,7 +416,7 @@ func lookupRowsBlocked(l *LUT, idx []uint8, idxRow0 int, out []float32, lo, hi i
 			base := cb * ct
 			for i := i0; i < i1; i++ {
 				so := (base + int(idx[(i-idxRow0)*cbs+cb])) * f
-				addF32(out[i*f:(i+1)*f:(i+1)*f], data[so:so+f:so+f])
+				vec.AddF32(out[i*f:(i+1)*f:(i+1)*f], data[so:so+f:so+f])
 			}
 		}
 	}
@@ -425,158 +426,6 @@ func lookupRowsBlocked(l *LUT, idx []uint8, idxRow0 int, out []float32, lo, hi i
 // KiB (F=768) keeps the destination block L1-resident across all
 // codebooks while rows in the block share centroid slices.
 const lookupRBlock = 8
-
-// addF32 computes dst[k] += src[k] elementwise, 8-way unrolled. Element
-// sums are independent, so the result is bit-identical to the naive loop.
-//
-//pimdl:hotpath
-func addF32(dst, src []float32) {
-	n := len(src)
-	dst = dst[:n]
-	k := 0
-	for ; k+7 < n; k += 8 {
-		dst[k] += src[k]
-		dst[k+1] += src[k+1]
-		dst[k+2] += src[k+2]
-		dst[k+3] += src[k+3]
-		dst[k+4] += src[k+4]
-		dst[k+5] += src[k+5]
-		dst[k+6] += src[k+6]
-		dst[k+7] += src[k+7]
-	}
-	for ; k < n; k++ {
-		dst[k] += src[k]
-	}
-}
-
-// add4F32 accumulates four table slices into dst in one pass:
-// dst[k] = (((dst[k]+s0[k])+s1[k])+s2[k])+s3[k]. The association order
-// per element is exactly four sequential dst[k] += sj[k] statements —
-// i.e. ascending-codebook order — so the result is bit-identical to the
-// serial reference while issuing one store per element instead of four
-// (the scalar kernel is store-throughput-bound otherwise).
-//
-//pimdl:hotpath
-func add4F32(dst, s0, s1, s2, s3 []float32) {
-	n := len(dst)
-	s0, s1, s2, s3 = s0[:n], s1[:n], s2[:n], s3[:n]
-	k := 0
-	// Eight independent accumulation chains: the per-element chain is four
-	// dependent FP adds (~4-cycle latency each), so eight elements in
-	// flight are needed to saturate two FP add ports.
-	for ; k+7 < n; k += 8 {
-		r0 := dst[k] + s0[k]
-		r1 := dst[k+1] + s0[k+1]
-		r2 := dst[k+2] + s0[k+2]
-		r3 := dst[k+3] + s0[k+3]
-		r4 := dst[k+4] + s0[k+4]
-		r5 := dst[k+5] + s0[k+5]
-		r6 := dst[k+6] + s0[k+6]
-		r7 := dst[k+7] + s0[k+7]
-		r0 += s1[k]
-		r1 += s1[k+1]
-		r2 += s1[k+2]
-		r3 += s1[k+3]
-		r4 += s1[k+4]
-		r5 += s1[k+5]
-		r6 += s1[k+6]
-		r7 += s1[k+7]
-		r0 += s2[k]
-		r1 += s2[k+1]
-		r2 += s2[k+2]
-		r3 += s2[k+3]
-		r4 += s2[k+4]
-		r5 += s2[k+5]
-		r6 += s2[k+6]
-		r7 += s2[k+7]
-		r0 += s3[k]
-		r1 += s3[k+1]
-		r2 += s3[k+2]
-		r3 += s3[k+3]
-		r4 += s3[k+4]
-		r5 += s3[k+5]
-		r6 += s3[k+6]
-		r7 += s3[k+7]
-		dst[k] = r0
-		dst[k+1] = r1
-		dst[k+2] = r2
-		dst[k+3] = r3
-		dst[k+4] = r4
-		dst[k+5] = r5
-		dst[k+6] = r6
-		dst[k+7] = r7
-	}
-	for ; k < n; k++ {
-		r := dst[k] + s0[k]
-		r += s1[k]
-		r += s2[k]
-		r += s3[k]
-		dst[k] = r
-	}
-}
-
-// init4F32 writes dst[k] = (((0+s0[k])+s1[k])+s2[k])+s3[k]. The leading
-// 0+ is not redundant: the serial reference starts from a zeroed output,
-// and IEEE 754 has 0+(-0) = +0, so folding it away could flip the sign
-// of an all-negative-zero sum. The compiler must keep the add for the
-// same reason. Association per element is ascending-codebook order,
-// matching the reference bit for bit.
-//
-//pimdl:hotpath
-func init4F32(dst, s0, s1, s2, s3 []float32) {
-	n := len(dst)
-	s0, s1, s2, s3 = s0[:n], s1[:n], s2[:n], s3[:n]
-	k := 0
-	for ; k+7 < n; k += 8 {
-		r0 := 0 + s0[k]
-		r1 := 0 + s0[k+1]
-		r2 := 0 + s0[k+2]
-		r3 := 0 + s0[k+3]
-		r4 := 0 + s0[k+4]
-		r5 := 0 + s0[k+5]
-		r6 := 0 + s0[k+6]
-		r7 := 0 + s0[k+7]
-		r0 += s1[k]
-		r1 += s1[k+1]
-		r2 += s1[k+2]
-		r3 += s1[k+3]
-		r4 += s1[k+4]
-		r5 += s1[k+5]
-		r6 += s1[k+6]
-		r7 += s1[k+7]
-		r0 += s2[k]
-		r1 += s2[k+1]
-		r2 += s2[k+2]
-		r3 += s2[k+3]
-		r4 += s2[k+4]
-		r5 += s2[k+5]
-		r6 += s2[k+6]
-		r7 += s2[k+7]
-		r0 += s3[k]
-		r1 += s3[k+1]
-		r2 += s3[k+2]
-		r3 += s3[k+3]
-		r4 += s3[k+4]
-		r5 += s3[k+5]
-		r6 += s3[k+6]
-		r7 += s3[k+7]
-		dst[k] = r0
-		dst[k+1] = r1
-		dst[k+2] = r2
-		dst[k+3] = r3
-		dst[k+4] = r4
-		dst[k+5] = r5
-		dst[k+6] = r6
-		dst[k+7] = r7
-	}
-	for ; k < n; k++ {
-		r := 0 + s0[k]
-		r += s1[k]
-		r += s2[k]
-		r += s3[k]
-		dst[k] = r
-	}
-}
 
 // --- INT8 table lookup -----------------------------------------------------
 
@@ -648,7 +497,7 @@ func qlookupRowsBlocked(q *QuantizedLUT, idx []uint8, idxRow0 int, out []float32
 					s1 := ((cb+1)*ct+int(idx[ir+cb+1]))*f + f0
 					s2 := ((cb+2)*ct+int(idx[ir+cb+2]))*f + f0
 					s3 := ((cb+3)*ct+int(idx[ir+cb+3]))*f + f0
-					add4I8(acc[(i-i0)*w:(i-i0+1)*w:(i-i0+1)*w],
+					vec.Add4I8(acc[(i-i0)*w:(i-i0+1)*w:(i-i0+1)*w],
 						data[s0:s0+w:s0+w], data[s1:s1+w:s1+w],
 						data[s2:s2+w:s2+w], data[s3:s3+w:s3+w])
 				}
@@ -657,7 +506,7 @@ func qlookupRowsBlocked(q *QuantizedLUT, idx []uint8, idxRow0 int, out []float32
 				base := cb * ct
 				for i := i0; i < i1; i++ {
 					so := (base+int(idx[(i-idxRow0)*cbs+cb]))*f + f0
-					addI8(acc[(i-i0)*w:(i-i0+1)*w:(i-i0+1)*w], data[so:so+w:so+w])
+					vec.AddI8(acc[(i-i0)*w:(i-i0+1)*w:(i-i0+1)*w], data[so:so+w:so+w])
 				}
 			}
 			for i := i0; i < i1; i++ {
@@ -668,55 +517,6 @@ func qlookupRowsBlocked(q *QuantizedLUT, idx []uint8, idxRow0 int, out []float32
 				}
 			}
 		}
-	}
-}
-
-// addI8 computes dst[k] += int32(src[k]) elementwise, 8-way unrolled.
-// Integer addition is exact, so the result matches the naive loop.
-//
-//pimdl:hotpath
-func addI8(dst []int32, src []int8) {
-	n := len(src)
-	dst = dst[:n]
-	k := 0
-	for ; k+7 < n; k += 8 {
-		dst[k] += int32(src[k])
-		dst[k+1] += int32(src[k+1])
-		dst[k+2] += int32(src[k+2])
-		dst[k+3] += int32(src[k+3])
-		dst[k+4] += int32(src[k+4])
-		dst[k+5] += int32(src[k+5])
-		dst[k+6] += int32(src[k+6])
-		dst[k+7] += int32(src[k+7])
-	}
-	for ; k < n; k++ {
-		dst[k] += int32(src[k])
-	}
-}
-
-// add4I8 accumulates four INT8 table slices into the int32 accumulator
-// in one pass (one store per element instead of four; integer addition
-// is order-independent, so any grouping is exact).
-//
-//pimdl:hotpath
-func add4I8(dst []int32, s0, s1, s2, s3 []int8) {
-	n := len(dst)
-	s0, s1, s2, s3 = s0[:n], s1[:n], s2[:n], s3[:n]
-	k := 0
-	for ; k+1 < n; k += 2 {
-		r0 := dst[k] + int32(s0[k])
-		r1 := dst[k+1] + int32(s0[k+1])
-		r0 += int32(s1[k])
-		r1 += int32(s1[k+1])
-		r0 += int32(s2[k])
-		r1 += int32(s2[k+1])
-		r0 += int32(s3[k])
-		r1 += int32(s3[k+1])
-		dst[k] = r0
-		dst[k+1] = r1
-	}
-	for ; k < n; k++ {
-		dst[k] += int32(s0[k]) + int32(s1[k]) + int32(s2[k]) + int32(s3[k])
 	}
 }
 

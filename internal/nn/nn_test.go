@@ -609,3 +609,65 @@ func TestTrainWithScheduleAndDecayLearns(t *testing.T) {
 		t.Fatalf("scheduled training failed: %.2f", acc)
 	}
 }
+
+// TestCalibrateELUTRepeatsFromCheckpoint runs the benchmark's convert
+// recipe twice from one saved checkpoint on a tiny model: training with
+// the warm-up cosine schedule, then eLUT-NN calibration at V=8, CT=4
+// with weights trained, then held-out accuracy on the LUT backend. Both
+// runs must give the same codebooks, tables, biases and accuracy, bit
+// for bit, since every kernel they run is deterministic. make
+// convert-smoke runs it under -race at GOMAXPROCS 1, 2 and 8.
+func TestCalibrateELUTRepeatsFromCheckpoint(t *testing.T) {
+	c := Tiny(TokenInput, 8, 4)
+	rng := rand.New(rand.NewSource(70))
+	train := synthTokenBatches(rng, c, 6, 8)
+	heldOut := synthTokenBatches(rng, c, 2, 16)
+	m := NewModel(c, 71)
+	m.Train(train, TrainConfig{LearningRate: 3e-3, Epochs: 2, ClipNorm: 1, Schedule: WarmupCosine})
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ConvertConfig{Params: lutnn.Params{V: 8, CT: 4}, Seed: 72, MaxClusterRows: 512,
+		Beta: 0.01, LearningRate: 1e-3, Iterations: 6, TrainWeights: true}
+	type result struct {
+		acc    float64
+		layers []*lutnn.Layer
+	}
+	run := func() result {
+		m, err := LoadModel(bytes.NewReader(ckpt.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CalibrateELUT(train[:4], cfg); err != nil {
+			t.Fatal(err)
+		}
+		m.SetBackend(BackendLUT)
+		r := result{acc: m.Accuracy(heldOut)}
+		for _, blk := range m.Blocks {
+			for _, role := range Roles {
+				r.layers = append(r.layers, blk.Linear(role).LUT)
+			}
+		}
+		return r
+	}
+	a, b := run(), run()
+	if math.Float64bits(a.acc) != math.Float64bits(b.acc) {
+		t.Fatalf("held-out accuracy %v then %v", a.acc, b.acc)
+	}
+	for i, la := range a.layers {
+		lb := b.layers[i]
+		for _, p := range []struct {
+			what   string
+			va, vb []float32
+		}{
+			{"codebooks", la.Codebooks.Data, lb.Codebooks.Data},
+			{"table", la.Table.Data, lb.Table.Data},
+			{"bias", la.Bias.Data, lb.Bias.Data},
+		} {
+			if !sameBits(p.va, p.vb) {
+				t.Fatalf("linear %d: %s differ between the two calibrations", i, p.what)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/lutnn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Events counts, for one PE, the DMA operations and bytes moved between
@@ -252,10 +253,7 @@ func ExecuteLUTWithFaults(p *Platform, w Workload, m Mapping, idx []uint8, tbl *
 			dst := out.Row(r)[t.colLo:t.colHi]
 			row := idxTile[(r-t.rowLo)*w.CB:]
 			for cb := 0; cb < w.CB; cb++ {
-				src := tbl.Slice(cb, int(row[cb]))[t.colLo:t.colHi]
-				for f, v := range src {
-					dst[f] += v
-				}
+				vec.AddF32(dst, tbl.Slice(cb, int(row[cb]))[t.colLo:t.colHi])
 			}
 		}
 	})
@@ -281,10 +279,7 @@ func ExecuteLUTInt8WithFaults(p *Platform, w Workload, m Mapping, idx []uint8, t
 			}
 			row := idxTile[(r-t.rowLo)*w.CB:]
 			for cb := 0; cb < w.CB; cb++ {
-				src := tbl.Slice(cb, int(row[cb]))[t.colLo:t.colHi]
-				for f, v := range src {
-					acc[f] += int32(v)
-				}
+				vec.AddI8(acc, tbl.Slice(cb, int(row[cb]))[t.colLo:t.colHi])
 			}
 			dst := out.Row(r)[t.colLo:t.colHi]
 			for f, v := range acc {

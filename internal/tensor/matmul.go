@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/parallel"
+	"repro/internal/vec"
 )
 
 // MatMul computes C = A·B for A (m×k) and B (k×n). It panics if the
@@ -157,12 +158,13 @@ func matmulInto(c, a, b []float32, m, k, n, rs, ps int) {
 // four p in ascending order in a register and storing once. Every
 // output thus receives the same float32-rounded products in the same
 // order as the one-p-at-a-time loop, starting from the zeroed c, and is
-// bit-identical to it. An exactly-zero a[p] is skipped, not multiplied
-// (skipping differs from adding 0·Inf, 0·NaN, or 0·x onto a −0 sum), so
-// a group holding one falls back to the per-p loop, as does the k%4
-// tail. Each product is converted to float32 before the add so that no
-// architecture fuses it into a multiply-add, which rounds once instead
-// of twice.
+// bit-identical to it; vec.AddScaled4F32 runs that four-p pass with one
+// output per vector lane. An exactly-zero a[p] is skipped, not
+// multiplied (skipping differs from adding 0·Inf, 0·NaN, or 0·x onto a
+// −0 sum), so a group holding one falls back to the per-p loop, as does
+// the k%4 tail. Each product is converted to float32 before the add so
+// that no architecture fuses it into a multiply-add, which rounds once
+// instead of twice.
 //
 //pimdl:hotpath
 func matmulChunk(ctx any, lo, hi int) {
@@ -184,15 +186,7 @@ func matmulChunk(ctx any, lo, hi int) {
 				addScaledRow(cr, a3, b3)
 				continue
 			}
-			// Reslicing to len(cr) drops the inner-loop bounds checks.
-			b0, b1, b2, b3 = b0[:len(cr)], b1[:len(cr)], b2[:len(cr)], b3[:len(cr)]
-			for j, s := range cr {
-				s += float32(a0 * b0[j])
-				s += float32(a1 * b1[j])
-				s += float32(a2 * b2[j])
-				s += float32(a3 * b3[j])
-				cr[j] = s
-			}
+			vec.AddScaled4F32(cr, a0, a1, a2, a3, b0, b1, b2, b3)
 		}
 		for ; p < k; p++ {
 			addScaledRow(cr, a[i*rs+p*ps], b[p*n:][:n])
